@@ -166,7 +166,11 @@ class ExactScalar:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.rat, self.quad, self.D))
+            if self.quad:
+                self._hash = hash((self.rat, self.quad, self.D))
+            else:
+                # a rational hashes like the equal int or Fraction
+                self._hash = hash(self.rat)
         return self._hash
 
     def __bool__(self):
@@ -180,12 +184,16 @@ class ExactScalar:
     def __floor__(self):
         if self.quad == 0:
             return math.floor(self.rat)
-        n = math.floor(float(self))
-        while (self - n).sign() < 0:
-            n -= 1
-        while (self - (n + 1)).sign() >= 0:
-            n += 1
-        return n
+        # self = (P + Q sqrt(D)) / R with R > 0; Q sqrt(D) is irrational, so
+        # floor(Q sqrt(D)) is isqrt(Q^2 D) or -isqrt(Q^2 D) - 1 by the sign of Q
+        a, b = self.rat.numerator, self.rat.denominator
+        c, d = self.quad.numerator, self.quad.denominator
+        R = b * d // math.gcd(b, d)
+        P, Q = a * (R // b), c * (R // d)
+        m = math.isqrt(Q * Q * self.D)
+        if Q < 0:
+            m = -m - 1
+        return (P + m) // R
 
     def __ceil__(self):
         return -math.floor(-self)

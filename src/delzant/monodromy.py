@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -105,16 +106,14 @@ def holonomy_group(graph: OrbitGraph, base, cap: int = 256) -> MatrixGroup:
         adjacency.setdefault(move.target, []).append(move.reversed())
     transport = {base: lattice.identity(n)}
     tree_edges = set()
-    order = [base]
-    queue = [base]
+    queue = deque([base])
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for move in adjacency.get(u, []):
             v = move.target
             if v not in transport:
                 transport[v] = lattice.mat_mul(move.transport, transport[u])
-                tree_edges.add(_edge_key(move))
-                order.append(v)
+                tree_edges.add(move.key)
                 queue.append(v)
     generators = []
     for move in graph.edges:
@@ -127,7 +126,7 @@ def holonomy_group(graph: OrbitGraph, base, cap: int = 256) -> MatrixGroup:
                 lattice.unimodular_inverse(p), lattice.mat_mul(move.transport, p)
             )
             generators.append(g)
-        elif _edge_key(move) not in tree_edges:
+        elif move.key not in tree_edges:
             if move.source not in transport or move.target not in transport:
                 continue
             g = lattice.mat_mul(
@@ -140,11 +139,6 @@ def holonomy_group(graph: OrbitGraph, base, cap: int = 256) -> MatrixGroup:
     if not generators:
         return MatrixGroup((), (ident,), False, cap)
     return mulclose(generators, cap)
-
-
-def _edge_key(move):
-    a, b = sorted([move.source, move.target])
-    return (a, b, move.probe.direction, move.probe.entry_facet, move.probe.exit_facet)
 
 
 # ---------------------------------------------------------------------------

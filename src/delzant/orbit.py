@@ -49,6 +49,13 @@ class ProbeMove:
     target: tuple
     transport: tuple  # the involution matrix on H_1
 
+    @property
+    def key(self):
+        p = self.probe
+        return edge_key(
+            self.source, self.target, p.direction, p.entry_facet, p.exit_facet
+        )
+
     def reversed(self):
         # Partner moves are involutions, so the reverse move reuses the probe.
         return ProbeMove(self.probe, self.target, self.source, self.transport)
@@ -93,21 +100,29 @@ class OrbitGraph:
         }
 
 
+def edge_key(source, target, direction, entry_facet, exit_facet) -> tuple:
+    """The key under which a move and its reverse count as one graph edge."""
+    return (frozenset((source, target)), direction, entry_facet, exit_facet)
+
+
 def explore(poly: DelzantPolytope, x, params: OrbitParams) -> OrbitGraph:
     """BFS closure of x under partner moves of probes up to max_norm.
 
     Deterministic: probes are generated in canonical direction order and
     the frontier is FIFO.  Nodes are the stored (in-window) points; edges
     connect stored points only, but parent chains may run through the
-    one-shell frontier outside the window.
+    one-shell frontier outside the window.  Every reached point carries
+    its distance vector, from which `ProbeSolver` finds its probes.
     """
     root = poly._require_interior(x)
     if not params.in_window(root):
         raise NotInterior(f"root {point_str(root)} lies outside the window")
+    solver = probe_mod.ProbeSolver(poly, params.max_norm)
     nodes = [root]
     edges = []
     edge_keys = set()
     parents = {}
+    ell = {root: poly.ell(root)}
     in_window = {root: True}
     depth = {root: 0}
     queued = {root}
@@ -118,16 +133,22 @@ def explore(poly: DelzantPolytope, x, params: OrbitParams) -> OrbitGraph:
         if depth[u] >= params.max_depth:
             truncated = True
             continue
-        for sigma in probe_mod.enumerate_probes(poly, u, params.max_norm):
-            v = probe_mod.partner(sigma, u)
-            move = ProbeMove(sigma, u, v, probe_mod.involution(sigma))
+        ell_u = ell[u]
+        for hit in solver.hits(ell_u):
+            v = solver.partner(u, hit)
+            move = None
             if v not in in_window:
                 inside = params.in_window(v)
                 if inside and len(nodes) >= params.max_points:
                     truncated = True
                     continue
+                ell_v = solver.partner_ell(ell_u, hit)
+                if any(c.sign() <= 0 for c in ell_v):
+                    raise NotInterior(f"partner {point_str(v)} left the open polytope")
+                ell[v] = ell_v
                 in_window[v] = inside
                 depth[v] = depth[u] + 1
+                move = _move(solver, u, v, hit)
                 parents[v] = (u, move)
                 if inside:
                     nodes.append(v)
@@ -145,12 +166,16 @@ def explore(poly: DelzantPolytope, x, params: OrbitParams) -> OrbitGraph:
                 queue.append(v)
                 queued.add(v)
             if in_window[u] and in_window[v]:
-                a, b = sorted([u, v])
-                key = (a, b, sigma.direction, sigma.entry_facet, sigma.exit_facet)
+                d, _, entry, _, exit_ = hit
+                key = edge_key(u, v, d.v, entry, exit_)
                 if key not in edge_keys:
                     edge_keys.add(key)
-                    edges.append(move)
+                    edges.append(move or _move(solver, u, v, hit))
     return OrbitGraph(root, nodes, edges, truncated, parents)
+
+
+def _move(solver, u, v, hit):
+    return ProbeMove(solver.probe(u, hit), u, v, solver.involution(hit))
 
 
 def replay_path(x, path) -> tuple:

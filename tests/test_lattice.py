@@ -6,10 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delzant import lattice
 from delzant.errors import NotPrimitive, ZeroVector
 from delzant.lattice import (
+    ExactScalar,
     GammaLattice,
     extend_to_basis,
     fm_witness,
@@ -106,6 +110,36 @@ class TestExactScalar:
         assert math.floor(scalar(0, -1, 2)) == -2
         assert math.floor(scalar(Fraction(7, 2))) == 3
         assert math.ceil(scalar(0, 1, 2)) == 2
+
+    def test_floor_beyond_float_range(self):
+        # 10**400 + sqrt(2) has no float; floor and ceil stay exact
+        big = 10**400
+        assert math.floor(scalar(big, 1, 2)) == big + 1
+        assert math.ceil(scalar(big, 1, 2)) == big + 2
+        assert math.floor(scalar(-big, Fraction(-1, 3), 2)) == -big - 1
+        assert math.floor(scalar(0, big, 3)) == math.isqrt(3 * big * big)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.fractions(max_denominator=10**6),
+        st.fractions(max_denominator=10**6).filter(bool),
+        st.sampled_from([2, 3, 5, 7, 11, 1001]),
+        st.integers(min_value=0, max_value=60),
+    )
+    def test_floor_ceil_against_sympy(self, rat, quad, D, scale):
+        # scale pushes some values far past the float range
+        rat, quad = rat * 10**scale, quad * 10**scale
+        x = scalar(rat, quad, D)
+        exact = sympy.Rational(rat.numerator, rat.denominator) + sympy.Rational(
+            quad.numerator, quad.denominator
+        ) * sympy.sqrt(D)
+        assert math.floor(x) == int(sympy.floor(exact))
+        assert math.ceil(x) == int(sympy.ceiling(exact))
+
+    def test_rationals_hash_like_numbers(self):
+        assert len({ExactScalar(1), 1}) == 1
+        assert hash(ExactScalar(Fraction(1, 2))) == hash(Fraction(1, 2))
+        assert len({scalar(Fraction(-3, 7)), Fraction(-3, 7), scalar(0, 1, 2)}) == 2
 
     def test_string_roundtrip(self):
         from delzant.cli import parse_scalar

@@ -1,13 +1,22 @@
 """Orbit exploration and the equivalence decision procedure."""
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
-from delzant import OrbitParams, as_point, decide, explore, preset
-from delzant.errors import NotInterior
-from delzant.orbit import replay_path
+from delzant import OrbitParams, as_point, decide, explore, lattice, preset, scalar
+from delzant.errors import HitsLowerFace, NotInterior, NotTransverse, UnboundedRay
+from delzant.orbit import ProbeMove, edge_key, replay_path
+from delzant.polytope import point_str
+from delzant.probe import (
+    SymmetricProbe,
+    canonical_directions,
+    involution,
+    partner,
+    shoot,
+)
 from delzant.spaces import oracle_orbit
 
 from test_polytope import sample_interior
@@ -196,3 +205,183 @@ class TestDecide:
         )
         assert verdict.kind == "unknown"
         assert "normals" in verdict.reason
+
+
+# -- the shoot/partner BFS that the distance-vector solver replaced -------------
+
+
+def reference_shoot(poly, x, v):
+    """Shoot by walking the ray from x both ways, re-deriving l(x) each call."""
+    x = poly._require_interior(x)
+    v = tuple(int(c) for c in v)
+    values = poly.ell(x)
+
+    def first_hit(forward):
+        best_t = None
+        best = []
+        for i, f in enumerate(poly.facets):
+            pairing = lattice.dot(v, f.normal)
+            p = pairing if not forward else -pairing
+            if p <= 0:
+                continue
+            t = values[i] / p
+            if best_t is None or t < best_t:
+                best_t, best = t, [i]
+            elif t == best_t:
+                best.append(i)
+        if best_t is None:
+            side = "+v" if forward else "-v"
+            raise UnboundedRay(f"ray {side} from {point_str(x)} never exits")
+        if len(best) > 1:
+            raise HitsLowerFace(f"probe endpoint lies on facets {best} simultaneously")
+        i = best[0]
+        pairing = lattice.dot(v, poly.facets[i].normal)
+        if abs(pairing) != 1:
+            raise NotTransverse(f"pairing <v, xi_{i}> = {pairing} at the hit facet")
+        return best_t, i
+
+    t_plus, exit_idx = first_hit(forward=True)
+    t_minus, entry_idx = first_hit(forward=False)
+    return SymmetricProbe(
+        direction=v,
+        entry_facet=entry_idx,
+        exit_facet=exit_idx,
+        entry_point=tuple(c - t_minus * vc for c, vc in zip(x, v)),
+        length=t_minus + t_plus,
+        entry_normal=poly.facets[entry_idx].normal,
+        exit_normal=poly.facets[exit_idx].normal,
+    )
+
+
+def reference_probes(poly, x, max_norm):
+    probes = []
+    for v in canonical_directions(poly.dim, max_norm):
+        try:
+            probes.append(reference_shoot(poly, x, v))
+        except (UnboundedRay, HitsLowerFace, NotTransverse):
+            continue
+    return probes
+
+
+def reference_explore(poly, x, params):
+    """explore() as one shoot and one partner call per direction and node."""
+    root = poly._require_interior(x)
+    nodes, edges, parents = [root], [], {}
+    edge_keys = set()
+    in_window, depth, queued = {root: True}, {root: 0}, {root}
+    truncated = False
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        if depth[u] >= params.max_depth:
+            truncated = True
+            continue
+        for sigma in reference_probes(poly, u, params.max_norm):
+            v = partner(sigma, u)
+            move = ProbeMove(sigma, u, v, involution(sigma))
+            if v not in in_window:
+                inside = params.in_window(v)
+                if inside and len(nodes) >= params.max_points:
+                    truncated = True
+                    continue
+                in_window[v] = inside
+                depth[v] = depth[u] + 1
+                parents[v] = (u, move)
+                if inside:
+                    nodes.append(v)
+                    queue.append(v)
+                    queued.add(v)
+                else:
+                    truncated = True
+            if not in_window[v] and in_window[u] and v not in queued:
+                queue.append(v)
+                queued.add(v)
+            if in_window[u] and in_window[v]:
+                a, b = sorted([u, v])
+                key = (a, b, sigma.direction, sigma.entry_facet, sigma.exit_facet)
+                if key not in edge_keys:
+                    edge_keys.add(key)
+                    edges.append(move)
+    return nodes, edges, parents, truncated
+
+
+# the orbit caps of the decide_mix benchmark workload, one per preset
+DECIDE_PARAMS = {
+    "s2s2_monotone": dict(max_norm=2, max_points=60),
+    "cp2": dict(max_norm=2, max_points=60, max_depth=8),
+    "c_x_s2": dict(max_norm=3, max_points=100, window=((-1, 6), (-1, 1))),
+    "ts1_x_s2": dict(max_norm=3, max_points=100, window=((-3, 3), (-1, 1))),
+    "c2_x_ts1": dict(max_norm=1, max_points=40, window=((0, 4), (0, 4), (-2, 2))),
+    "cn(2)": dict(max_norm=1, max_points=40, window=((0, 9), (0, 9))),
+    "cn(3)": dict(max_norm=1, max_points=40, max_depth=16, window=((0, 12),) * 3),
+}
+
+
+def assert_matches_reference(poly, x, params):
+    graph = explore(poly, x, params)
+    nodes, edges, parents, truncated = reference_explore(poly, x, params)
+    assert graph.nodes == nodes
+    assert [e.to_json() for e in graph.edges] == [e.to_json() for e in edges]
+    assert [(p, parent, m.to_json()) for p, (parent, m) in graph.parents.items()] == [
+        (p, parent, m.to_json()) for p, (parent, m) in parents.items()
+    ]
+    assert graph.truncated == truncated
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("name", sorted(DECIDE_PARAMS))
+    def test_presets(self, name):
+        poly = preset(name)
+        params = OrbitParams(**DECIDE_PARAMS[name])
+        rng = random.Random(61)
+        points = [sample_interior(poly, rng) for _ in range(4)]
+        # points on symmetry walls, where probe endpoints hit lower faces
+        points += [p for p in (poly.interior_point(), (1, 1), (1, 1, 1), (0, 0))
+                   if len(p) == poly.dim and poly.is_interior(p)]
+        for x in points:
+            if params.in_window(as_point(x)):
+                assert_matches_reference(poly, x, params)
+
+    def test_sqrt2_orbit(self):
+        # the density example of the paper, at the benchmark's caps
+        params = OrbitParams(max_norm=1, max_points=150, window=((0, 6),) * 3)
+        assert_matches_reference(preset("cn(3)"), (1, 2, scalar(1, 1, 2)), params)
+
+    def test_shoot_errors(self):
+        cases = [
+            (preset("cn(2)"), (1, 1), (1, 0), UnboundedRay),
+            (preset("s2s2_monotone"), (0, 0), (1, 1), HitsLowerFace),
+            (preset("s2s2_monotone"), (Fraction(1, 5), Fraction(1, 2)), (2, 1),
+             NotTransverse),
+        ]
+        rng = random.Random(67)
+        for name in ("cp2", "s2s2_monotone", "c_x_s2", "ts1_x_s2", "c2_x_ts1", "cn(3)"):
+            poly = preset(name)
+            points = [sample_interior(poly, rng) for _ in range(3)]
+            for x in points + [poly.interior_point()]:
+                for v in canonical_directions(poly.dim, 2):
+                    for w in (v, tuple(-c for c in v)):
+                        cases.append((poly, x, w, None))
+        seen = set()
+        for poly, x, v, expected in cases:
+            try:
+                want = reference_shoot(poly, x, v)
+            except (UnboundedRay, HitsLowerFace, NotTransverse) as exc:
+                want = exc
+            if expected is not None:
+                assert type(want) is expected
+            if isinstance(want, Exception):
+                seen.add(type(want))
+                with pytest.raises(type(want)) as got:
+                    shoot(poly, x, v)
+                assert str(got.value) == str(want)
+            else:
+                assert shoot(poly, x, v) == want
+        assert seen == {UnboundedRay, HitsLowerFace, NotTransverse}
+
+
+def test_edge_key_is_symmetric():
+    sigma = shoot(preset("cn(2)"), (1, 3), (1, -1))
+    move = ProbeMove(sigma, as_point((1, 3)), as_point((3, 1)), involution(sigma))
+    assert move.key == move.reversed().key
+    assert move.key == edge_key(move.target, move.source, (1, -1), 0, 1)
