@@ -2,6 +2,9 @@
 
 Exit codes: 0 success/affirmative, 1 negative verdict (Distinct, not
 Delzant, infeasible, ...), 2 usage or parse error, 3 inconclusive.
+Verdict kinds map to codes in `_KIND_CODES`; an error's code is the
+`exit_code` attribute of its class in `delzant.errors` (1 for the negative
+answers, whose JSON goes to stdout; 2, on stderr, for all others).
 Scalars on the command line and in files use the grammar
 ``INT | INT/INT | RAT+RAT√D | RAT-RAT√D`` (``sqrt`` is accepted for ``√``);
 windows are comma-separated ``lo..hi`` ranges with ``*`` for unbounded.
@@ -18,58 +21,20 @@ from fractions import Fraction
 from . import chekanov, lattice, monodromy, orbit, probe, reduction, spaces
 from .errors import (
     DelzantError,
-    DimensionMismatch,
-    HitsLowerFace,
-    InfeasibleEmpty,
-    LengthMismatch,
-    NonPositiveEntry,
-    NormalsDoNotSpan,
-    NotAdmissible,
     NotDelzant,
-    NotEquivalent,
-    NotInterior,
-    NotOnProbe,
     NotPlanar,
-    NotPrimitive,
-    NotReductionType,
-    NotTransverse,
     ParseError,
-    SliceInsideFacet,
-    SliceMissesPolytope,
-    UnboundedRay,
-    UnknownPreset,
-    ValidationError,
     WordSearchExhausted,
 )
 from .lattice import ExactScalar
 from .polytope import DelzantPolytope
 from .reduction import AffineSlice
 
-_USAGE_ERRORS = (
-    ParseError,
-    ValidationError,
-    UnknownPreset,
-    NotInterior,
-    DimensionMismatch,
-    NotPrimitive,
-    NonPositiveEntry,
-    LengthMismatch,
-    InfeasibleEmpty,
-    NotPlanar,
-    NotOnProbe,
-)
-_NEGATIVE_ERRORS = (
-    NotDelzant,
-    UnboundedRay,
-    HitsLowerFace,
-    NotTransverse,
-    NotAdmissible,
-    SliceMissesPolytope,
-    SliceInsideFacet,
-    NormalsDoNotSpan,
-    NotReductionType,
-    NotEquivalent,
-)
+# exit codes of the outcome kinds of `monodromy.solve_ambient` and `orbit.decide`
+_KIND_CODES = {
+    "solutions": 0, "infeasible": 1, "inconclusive": 3,
+    "equivalent": 0, "distinct": 1, "unknown": 3,
+}
 
 _SCALAR_RE = re.compile(
     r"^(?P<rat>-?\d+(?:/\d+)?)"
@@ -150,8 +115,6 @@ def polytope_from_data(data, source="<data>") -> DelzantPolytope:
 
 def _orbit_params(args, poly):
     window = parse_window(args.window, poly.field_disc) if args.window else None
-    if window is not None and len(window) != poly.dim:
-        raise ParseError("window does not match the polytope dimension")
     return orbit.OrbitParams(
         max_norm=args.max_norm,
         max_points=args.max_points,
@@ -242,8 +205,7 @@ def _cmd_ambient(args):
     x = parse_point(args.source, poly.field_disc)
     y = parse_point(args.target, poly.field_disc)
     outcome = monodromy.solve_ambient(poly, x, y, bound=args.bound)
-    code = {"solutions": 0, "infeasible": 1, "inconclusive": 3}[outcome.kind]
-    return code, outcome.to_json()
+    return _KIND_CODES[outcome.kind], outcome.to_json()
 
 
 def _cmd_equivalent(args):
@@ -251,8 +213,7 @@ def _cmd_equivalent(args):
     x = parse_point(args.source, poly.field_disc)
     y = parse_point(args.target, poly.field_disc)
     verdict = orbit.decide(poly, x, y, _orbit_params(args, poly))
-    code = {"equivalent": 0, "distinct": 1, "unknown": 3}[verdict.kind]
-    return code, verdict.to_json()
+    return _KIND_CODES[verdict.kind], verdict.to_json()
 
 
 def _cmd_reduce(args):
@@ -264,8 +225,6 @@ def _cmd_reduce(args):
             data["dirs"],
         )
     except (ValueError, KeyError, TypeError) as exc:
-        if isinstance(exc, ParseError):
-            raise
         raise ParseError(f"bad slice {args.slice!r}: {exc}")
     result = reduction.reduce(poly, sl)
     return 0, result.to_json()
@@ -314,14 +273,9 @@ def _cmd_render(args):
         x = parse_point(args.probes_at, poly.field_disc)
         layers["probes"] = probe.enumerate_probes(poly, x, args.max_norm)
     if args.orbit_of:
-        for idx, text in enumerate(args.orbit_of):
+        params = _orbit_params(args, poly)
+        for text in args.orbit_of:
             x = parse_point(text, poly.field_disc)
-            params = orbit.OrbitParams(
-                max_norm=args.max_norm,
-                max_points=args.max_points,
-                max_depth=args.max_depth,
-                window=window,
-            )
             layers["orbits"].append(orbit.explore(poly, x, params).nodes)
     return 0, render_svg(poly, window, layers)
 
@@ -566,22 +520,11 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         code, payload = args.handler(args)
-    except _NEGATIVE_ERRORS as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                         sort_keys=True))
-        return 1
-    except _USAGE_ERRORS as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return 2
-    except DelzantError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return 2
     except Exception as exc:  # never a traceback on user input
+        code = exc.exit_code if isinstance(exc, DelzantError) else 2
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return 2
+                         sort_keys=True), file=sys.stdout if code == 1 else sys.stderr)
+        return code
     if isinstance(payload, str):
         print(payload)
     else:

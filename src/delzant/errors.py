@@ -1,8 +1,15 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules.
+
+Each class carries the CLI exit status it maps to: 1 for the errors that
+answer the question asked in the negative (not Delzant, no probe, not
+admissible, ...), 2 for every usage, parse and precondition error.
+"""
 
 
 class DelzantError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 2
 
 
 # -- scalar / lattice ------------------------------------------------------
@@ -30,6 +37,8 @@ class InfeasibleEmpty(DelzantError):
 
 
 class NotDelzant(DelzantError):
+    exit_code = 1
+
     def __init__(self, vertex, det, message):
         super().__init__(message)
         self.vertex = vertex
@@ -49,13 +58,19 @@ class NotUnimodular(DelzantError):
 class UnboundedRay(DelzantError):
     """The ray through x in direction +/-v never leaves the polytope."""
 
+    exit_code = 1
+
 
 class HitsLowerFace(DelzantError):
     """A probe endpoint lands on a face of codimension >= 2."""
 
+    exit_code = 1
+
 
 class NotTransverse(DelzantError):
     """|<v, xi>| != 1 at the facet realizing the hit."""
+
+    exit_code = 1
 
 
 class NotOnProbe(DelzantError):
@@ -71,21 +86,25 @@ class BaseNotInGraph(DelzantError):
 class NotReductionType(DelzantError):
     """Facet normals do not span R^n; the ambient solver does not apply."""
 
+    exit_code = 1
+
 
 # -- reduction -------------------------------------------------------------
 
 class SliceMissesPolytope(DelzantError):
-    pass
+    exit_code = 1
 
 
 class NotAdmissible(DelzantError):
+    exit_code = 1
+
     def __init__(self, report, message):
         super().__init__(message)
         self.report = report
 
 
 class SliceInsideFacet(DelzantError):
-    pass
+    exit_code = 1
 
 
 class InducedNotPrimitive(DelzantError):
@@ -93,7 +112,7 @@ class InducedNotPrimitive(DelzantError):
 
 
 class NormalsDoNotSpan(DelzantError):
-    pass
+    exit_code = 1
 
 
 # -- product tori ----------------------------------------------------------
@@ -111,7 +130,7 @@ class RankNotOne(DelzantError):
 
 
 class NotEquivalent(DelzantError):
-    pass
+    exit_code = 1
 
 
 class WordSearchExhausted(DelzantError):

@@ -32,6 +32,14 @@ _ZERO_FRACTION = Fraction(0)
 _VALID_DISCS = {1}
 
 
+def _rational(value) -> Fraction:
+    """`Fraction(value)` for an exact value; floats are refused, because
+    their binary expansions would enter exact decisions unseen."""
+    if isinstance(value, float):
+        raise TypeError(f"a float is not an exact scalar: {value!r}")
+    return Fraction(value)
+
+
 class ExactScalar:
     """An element of Q(sqrt(D)) with exact total order.
 
@@ -43,10 +51,13 @@ class ExactScalar:
     __slots__ = ("rat", "quad", "D", "_hash")
 
     def __init__(self, rat=0, quad=0, D=1):
-        if type(rat) is not Fraction:
-            rat = Fraction(rat)
-        if type(quad) is not Fraction:
-            quad = Fraction(quad)
+        # ints and Fractions take no extra call: this is the hottest constructor
+        kind = type(rat)
+        if kind is not Fraction:
+            rat = Fraction(rat) if kind is int else _rational(rat)
+        kind = type(quad)
+        if kind is not Fraction:
+            quad = Fraction(quad) if kind is int else _rational(quad)
         if D not in _VALID_DISCS:
             if D == 0:
                 quad, D = _ZERO_FRACTION, 1
@@ -73,7 +84,7 @@ class ExactScalar:
     def of(value) -> "ExactScalar":
         if type(value) is ExactScalar:
             return value
-        return ExactScalar(Fraction(value))
+        return ExactScalar(value)
 
     def _pair(self, other):
         other = ExactScalar.of(other)
@@ -214,7 +225,7 @@ ONE = ExactScalar(1)
 
 def scalar(rat, quad=0, D=1) -> ExactScalar:
     """Convenience constructor, accepting ints, Fractions or '1/2' strings."""
-    return ExactScalar(Fraction(rat), Fraction(quad), D)
+    return ExactScalar(rat, quad, D)
 
 
 # ---------------------------------------------------------------------------

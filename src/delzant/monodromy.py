@@ -97,11 +97,7 @@ def holonomy_group(graph: OrbitGraph, base, cap: int = 256) -> MatrixGroup:
         raise BaseNotInGraph(f"base point is not a stored node of the graph")
     n = len(base)
     adjacency = {}
-    selfloops = []
     for move in graph.edges:
-        if move.source == move.target:
-            selfloops.append(move)
-            continue
         adjacency.setdefault(move.source, []).append(move)
         adjacency.setdefault(move.target, []).append(move.reversed())
     transport = {base: lattice.identity(n)}
@@ -117,23 +113,16 @@ def holonomy_group(graph: OrbitGraph, base, cap: int = 256) -> MatrixGroup:
                 queue.append(v)
     generators = []
     for move in graph.edges:
-        if move.source == move.target:
-            u = move.source
-            if u not in transport:
-                continue
-            p = transport[u]
-            g = lattice.mat_mul(
-                lattice.unimodular_inverse(p), lattice.mat_mul(move.transport, p)
-            )
-            generators.append(g)
-        elif move.key not in tree_edges:
-            if move.source not in transport or move.target not in transport:
-                continue
-            g = lattice.mat_mul(
-                lattice.unimodular_inverse(transport[move.target]),
-                lattice.mat_mul(move.transport, transport[move.source]),
-            )
-            generators.append(g)
+        # a self-loop is never a tree edge; its cycle is p^-1 T p
+        if move.key in tree_edges:
+            continue
+        if move.source not in transport or move.target not in transport:
+            continue
+        g = lattice.mat_mul(
+            lattice.unimodular_inverse(transport[move.target]),
+            lattice.mat_mul(move.transport, transport[move.source]),
+        )
+        generators.append(g)
     ident = lattice.identity(n)
     generators = [g for g in generators if g != ident]
     if not generators:

@@ -16,8 +16,7 @@ from typing import Optional
 
 from . import probe as probe_mod
 from .errors import DimensionMismatch, NotInterior
-from .lattice import ExactScalar
-from .polytope import DelzantPolytope, as_point, point_str
+from .polytope import DelzantPolytope, as_point, in_window, point_str
 
 
 @dataclass(frozen=True)
@@ -32,14 +31,7 @@ class OrbitParams:
             raise ValueError("all caps must be >= 1")
 
     def in_window(self, x) -> bool:
-        if self.window is None:
-            return True
-        for c, (lo, hi) in zip(x, self.window):
-            if lo is not None and c < ExactScalar.of(lo):
-                return False
-            if hi is not None and c > ExactScalar.of(hi):
-                return False
-        return True
+        return in_window(x, self.window)
 
 
 @dataclass(frozen=True)
@@ -114,6 +106,7 @@ def explore(poly: DelzantPolytope, x, params: OrbitParams) -> OrbitGraph:
     one-shell frontier outside the window.  Every reached point carries
     its distance vector, from which `ProbeSolver` finds its probes.
     """
+    _check_window(poly, params)
     root = poly._require_interior(x)
     if not params.in_window(root):
         raise NotInterior(f"root {point_str(root)} lies outside the window")
@@ -174,6 +167,15 @@ def explore(poly: DelzantPolytope, x, params: OrbitParams) -> OrbitGraph:
     return OrbitGraph(root, nodes, edges, truncated, parents)
 
 
+def _check_window(poly, params):
+    """Raise DimensionMismatch unless the window has one range per coordinate."""
+    window = params.window
+    if window is not None and len(window) != poly.dim:
+        raise DimensionMismatch(
+            f"window of length {len(window)} in dim {poly.dim}"
+        )
+
+
 def _move(solver, u, v, hit):
     return ProbeMove(solver.probe(u, hit), u, v, solver.involution(hit))
 
@@ -225,10 +227,9 @@ def decide(poly: DelzantPolytope, x, y, params: OrbitParams) -> Verdict:
     ambient integer solver may certify Distinct; absence of a path within
     the caps is never conclusive, hence Unknown.
     """
+    _check_window(poly, params)
     x = poly._require_interior(x)
     y = poly._require_interior(y)
-    if len(x) != len(y):
-        raise DimensionMismatch("points of different dimensions")
     if x == y:
         return Verdict("equivalent", path=())
     reduction_type = poly.normals_span()
@@ -257,7 +258,7 @@ def decide(poly: DelzantPolytope, x, y, params: OrbitParams) -> Verdict:
             },
         )
     graph_x = explore(poly, x, params)
-    if y in graph_x.parents or y == graph_x.root:
+    if y in graph_x.parents:
         return Verdict("equivalent", path=tuple(graph_x.path_to(y)))
     graph_y = explore(poly, y, params)
     if x in graph_y.parents:
@@ -265,7 +266,7 @@ def decide(poly: DelzantPolytope, x, y, params: OrbitParams) -> Verdict:
         return Verdict("equivalent", path=tuple(backward))
     meet = None
     for p in graph_x.parents:
-        if p in graph_y.parents or p == graph_y.root:
+        if p in graph_y.parents:
             meet = p
             break
     if meet is not None:

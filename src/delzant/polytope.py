@@ -27,6 +27,21 @@ def as_point(coords):
     return tuple(ExactScalar.of(c) for c in coords)
 
 
+def in_window(x, window) -> bool:
+    """True iff each coordinate of x lies in its closed (lo, hi) range.
+
+    A window of None, or a side of None, is unbounded.
+    """
+    if window is None:
+        return True
+    for c, (lo, hi) in zip(x, window):
+        if lo is not None and c < ExactScalar.of(lo):
+            return False
+        if hi is not None and c > ExactScalar.of(hi):
+            return False
+    return True
+
+
 def point_str(x):
     return "(" + ", ".join(str(c) for c in x) + ")"
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from . import lattice
 from .errors import NotInterior, OracleUnavailable, UnknownPreset
 from .lattice import ExactScalar, ZERO
-from .polytope import DelzantPolytope, as_point
+from .polytope import DelzantPolytope, as_point, in_window
 
 _CN = re.compile(r"cn\((\d+)\)$")
 
@@ -61,17 +61,6 @@ def _require_interior(name, x):
     return poly, x
 
 
-def _in_window(p, window):
-    if window is None:
-        return True
-    for c, (lo, hi) in zip(p, window):
-        if lo is not None and c < ExactScalar.of(lo):
-            return False
-        if hi is not None and c > ExactScalar.of(hi):
-            return False
-    return True
-
-
 def _window_bound(window, coord, side):
     if window is None:
         return None
@@ -81,7 +70,7 @@ def _window_bound(window, coord, side):
 
 
 def _clip_sort(points, window):
-    out = sorted({p for p in points if _in_window(p, window)})
+    out = sorted({p for p in points if in_window(p, window)})
     return [tuple(p) for p in out]
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from delzant import scalar
+from delzant import cli, errors, scalar
 from delzant.cli import (
     main,
     parse_point,
@@ -91,6 +91,46 @@ class TestPolytopeFiles:
         with pytest.raises(ValidationError):
             parse_polytope(str(path))
 
+    def test_float_offset_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "float.json"
+        path.write_text(
+            json.dumps({"dim": 1, "facets": [{"normal": [1], "offset": 0.5}]})
+        )
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "ParseError"
+
+
+# the errors that answer a question in the negative; every other error is usage
+_NEGATIVE = {
+    "HitsLowerFace", "NormalsDoNotSpan", "NotAdmissible", "NotDelzant",
+    "NotEquivalent", "NotReductionType", "NotTransverse", "SliceInsideFacet",
+    "SliceMissesPolytope", "UnboundedRay",
+}
+# leading constructor arguments of the classes that take more than a message
+_EXTRA_ARGS = {
+    "NotDelzant": ((0,), 2), "NotAdmissible": (None,), "PreconditionViolated": (0,),
+}
+_ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, Exception)),
+    key=lambda c: c.__name__,
+) + [ValueError]
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_exit_code_and_stream_of_every_error(cls, capsys, monkeypatch):
+    def handler(args):
+        raise cls(*_EXTRA_ARGS.get(cls.__name__, ()), "boom")
+
+    monkeypatch.setattr(cli, "_cmd_preset_list", handler)
+    code, out, err = run(capsys, "preset-list")
+    negative = cls.__name__ in _NEGATIVE
+    assert code == (1 if negative else 2)
+    shown, silent = (out, err) if negative else (err, out)
+    assert json.loads(shown) == {"error": cls.__name__, "message": "boom"}
+    assert silent == ""
+
 
 class TestDispatch:
     def test_check_ok(self, capsys):
@@ -141,6 +181,14 @@ class TestDispatch:
     def test_usage_error_exit2(self, capsys):
         code, _, _ = run(capsys, "orbit", "preset:ts1_x_s2")
         assert code == 2
+
+    def test_window_length_exit2(self, capsys):
+        code, out, err = run(
+            capsys, "orbit", "preset:cn(2)", "--point", "1,3", "--max-norm", "1",
+            "--window", "0..9",
+        )
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "DimensionMismatch"
 
     def test_parse_error_exit2(self, capsys):
         code, _, err = run(capsys, "invariants", "preset:cp2", "--point", "0.5,0")

@@ -141,6 +141,21 @@ class TestExactScalar:
         assert hash(ExactScalar(Fraction(1, 2))) == hash(Fraction(1, 2))
         assert len({scalar(Fraction(-3, 7)), Fraction(-3, 7), scalar(0, 1, 2)}) == 2
 
+    def test_floats_rejected(self):
+        # a float's binary expansion must not enter an exact decision
+        for make in (
+            lambda: ExactScalar(0.5),
+            lambda: ExactScalar(1, 0.5, 2),
+            lambda: ExactScalar.of(0.1),
+            lambda: scalar(0.5),
+            lambda: scalar(1, 0.25, 2),
+            lambda: scalar(1) + 0.5,
+            lambda: scalar(1) < 0.5,
+        ):
+            with pytest.raises(TypeError):
+                make()
+        assert scalar("1/2") == ExactScalar.of(Fraction(1, 2))
+
     def test_string_roundtrip(self):
         from delzant.cli import parse_scalar
 

@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 
 from delzant import OrbitParams, as_point, decide, explore, lattice, preset, scalar
-from delzant.errors import HitsLowerFace, NotInterior, NotTransverse, UnboundedRay
+from delzant.errors import (
+    DimensionMismatch,
+    HitsLowerFace,
+    NotInterior,
+    NotTransverse,
+    UnboundedRay,
+)
 from delzant.orbit import ProbeMove, edge_key, replay_path
 from delzant.polytope import point_str
 from delzant.probe import (
@@ -115,6 +121,15 @@ class TestExplore:
                 (1, 1),
                 OrbitParams(max_norm=1, window=((2, 3), (2, 3))),
             )
+
+    @pytest.mark.parametrize("window", [((0, 9),), ((0, 9),) * 3])
+    def test_window_length_checked(self, window):
+        params = OrbitParams(max_norm=1, window=window)
+        with pytest.raises(DimensionMismatch):
+            explore(preset("cn(2)"), (1, 3), params)
+        for y in ((3, 1), (1, 3)):  # also when x == y
+            with pytest.raises(DimensionMismatch):
+                decide(preset("cn(2)"), (1, 3), y, params)
 
     def test_point_cap_truncates(self):
         graph = explore(

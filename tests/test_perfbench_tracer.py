@@ -1,0 +1,43 @@
+"""The benchmark's tracer still finds every attribute of the program it wraps.
+
+`perfbench/tracer.py` wraps module and class attributes by name (`SPANS`,
+`COUNTS`, `SCALAR_OPS`); a refactor that moves or renames one of them would
+break `perfbench/run.py --trace 1`.  This test only reads `perfbench/`.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracer
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return tracer, workloads.Lib()
+
+
+def test_every_traced_attribute_exists_and_is_restored(bench):
+    tracer, lib = bench
+    targets = [(tracer._owner(lib, path), attr) for path, attr in tracer.SPANS + tracer.COUNTS]
+    targets += [(lib.lattice.ExactScalar, attr) for attr in tracer.SCALAR_OPS]
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in targets
+               if attr not in owner.__dict__]
+    assert not missing, f"perfbench/tracer.py wraps attributes that are gone: {missing}"
+    originals = [owner.__dict__[attr] for owner, attr in targets]
+    t = tracer.Tracer()
+    try:
+        t.install(lib)
+        assert len(t._undo) == len(targets)
+        assert all(owner.__dict__[attr] is not f
+                   for (owner, attr), f in zip(targets, originals))
+    finally:
+        t.remove()
+    assert all(owner.__dict__[attr] is f for (owner, attr), f in zip(targets, originals))

@@ -14,6 +14,7 @@ from delzant.errors import (
     ValidationError,
 )
 from delzant.lattice import GammaLattice, mat_vec
+from delzant.polytope import in_window
 
 
 def sample_interior(poly, rng, box=3, tries=200):
@@ -44,6 +45,25 @@ class TestConstruction:
     def test_empty_interior_rejected(self):
         with pytest.raises(InfeasibleEmpty):
             DelzantPolytope(1, [((1,), 0), ((-1,), -1)])
+
+    def test_float_offset_rejected(self):
+        with pytest.raises(TypeError):
+            DelzantPolytope(1, [((1,), 0.1)])
+        with pytest.raises(TypeError):
+            as_point((0, 0.1))
+
+
+def test_in_window_closed_bounds_and_open_sides():
+    sqrt2 = scalar(0, 1, 2)
+    window = ((0, 1), (sqrt2, None))
+    assert in_window((scalar(0), sqrt2), window)  # both lower bounds attained
+    assert in_window(as_point((1, 2)), window)  # upper bound attained
+    assert not in_window(as_point((Fraction(-1, 9), 2)), window)
+    assert not in_window(as_point((Fraction(10, 9), 2)), window)
+    assert not in_window(as_point((0, Fraction(7, 5))), window)  # 7/5 < sqrt(2)
+    assert in_window(as_point((0, 10**9)), window)  # no upper bound
+    assert in_window(as_point((-(10**9), 10**9)), ((None, None), (None, None)))
+    assert in_window(as_point((-(10**9), 10**9)), None)
 
 
 class TestEll:
