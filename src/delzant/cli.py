@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -96,11 +97,11 @@ def parse_polytope(source: str) -> DelzantPolytope:
 
 def polytope_from_data(data, source="<data>") -> DelzantPolytope:
     try:
-        dim = int(data["dim"])
-        disc = int(data.get("field", {}).get("D", 1))
+        dim = operator.index(data["dim"])
+        disc = operator.index(data.get("field", {}).get("D", 1))
         facets = []
         for i, entry in enumerate(data["facets"]):
-            normal = tuple(int(c) for c in entry["normal"])
+            normal = tuple(operator.index(c) for c in entry["normal"])
             offset = entry["offset"]
             offset = (
                 parse_scalar(offset, disc)

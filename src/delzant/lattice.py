@@ -1,8 +1,8 @@
 """Exact arithmetic over Q(sqrt(D)) and integer-lattice linear algebra.
 
-Scalars are elements a + b*sqrt(D) with a, b rational and D a fixed
-square-free integer (D = 1 collapses to plain Q).  All comparisons are
-decided exactly; no floating point enters any computation.  Integer
+Scalars are elements (a + b*sqrt(D)) / c stored as four ints, with D a
+fixed square-free integer (D = 1 collapses to plain Q).  All comparisons
+are decided exactly; no floating point enters any computation.  Integer
 vectors and matrices are plain tuples; the normal-form routines
 (Hermite-style column echelon, Smith-style diagonalization) return the
 unimodular transforms needed for kernels, basis extension and integer
@@ -11,7 +11,9 @@ linear solving.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotPrimitive, RankNotOne, ZeroVector
@@ -28,139 +30,220 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-_ZERO_FRACTION = Fraction(0)
 _VALID_DISCS = {1}
+_HASH_MODULUS = sys.hash_info.modulus
 
 
-def _rational(value) -> Fraction:
-    """`Fraction(value)` for an exact value; floats are refused, because
-    their binary expansions would enter exact decisions unseen."""
-    if isinstance(value, float):
-        raise TypeError(f"a float is not an exact scalar: {value!r}")
-    return Fraction(value)
+def _ratio(value):
+    """(numerator, denominator) of an exact rational value; floats are
+    refused, because their binary expansions would enter exact decisions
+    unseen."""
+    kind = type(value)
+    if kind is int:
+        return value, 1
+    if kind is not Fraction:
+        if isinstance(value, float):
+            raise TypeError(f"a float is not an exact scalar: {value!r}")
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+@functools.lru_cache(maxsize=1024)
+def _hash_inverse(c):
+    """1/c modulo the numeric hash modulus; 0 when c is a multiple of it."""
+    return pow(c, -1, _HASH_MODULUS) if c % _HASH_MODULUS else 0
+
+
+def _ratio_str(n, d):
+    """n/d in lowest terms, written as str(Fraction(n, d)) writes it."""
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _join(D, E):
+    """The field of a result with operands in Q(sqrt(D)) and Q(sqrt(E))."""
+    if E == 1 or E == D:
+        return D
+    if D == 1:
+        return E
+    raise ValueError(f"mixed quadratic fields sqrt({D}) and sqrt({E})")
+
+
+def _sign(a, b, D):
+    """The sign of a + b*sqrt(D) for ints a, b."""
+    if not b:
+        return (a > 0) - (a < 0)
+    if not a or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    # Opposite signs: |a| vs |b| sqrt(D) decided by squaring.
+    t = a * a - b * b * D
+    assert t != 0, "square-free D cannot make a + b*sqrt(D) vanish"
+    return (1 if a > 0 else -1) if t > 0 else (1 if b > 0 else -1)
 
 
 class ExactScalar:
-    """An element of Q(sqrt(D)) with exact total order.
+    """An element (a + b*sqrt(D)) / c of Q(sqrt(D)) with exact total order.
 
-    Invariants: fractions in lowest terms (guaranteed by Fraction),
-    quad == 0 forces D == 1, so equal numbers have equal representations
-    and hash consistently.
+    a, b, c and D are ints kept canonical: c > 0, gcd(a, b, c) = 1, and
+    b == 0 forces D == 1, so equal numbers have equal fields and hash
+    consistently.  `rat` = a/c and `quad` = b/c are derived Fractions.
     """
 
-    __slots__ = ("rat", "quad", "D", "_hash")
+    __slots__ = ("a", "b", "c", "D")
 
     def __init__(self, rat=0, quad=0, D=1):
-        # ints and Fractions take no extra call: this is the hottest constructor
-        kind = type(rat)
-        if kind is not Fraction:
-            rat = Fraction(rat) if kind is int else _rational(rat)
-        kind = type(quad)
-        if kind is not Fraction:
-            quad = Fraction(quad) if kind is int else _rational(quad)
+        p, q = _ratio(rat)
+        r, s = _ratio(quad)
         if D not in _VALID_DISCS:
             if D == 0:
-                quad, D = _ZERO_FRACTION, 1
+                r, s, D = 0, 1, 1
             elif not is_squarefree(D):
                 raise ValueError(
                     f"field discriminant must be square-free, got {D}"
                 )
             else:
                 _VALID_DISCS.add(D)
+        c = math.lcm(q, s)
+        a, b = p * (c // q), r * (c // s)
         if D == 1:
             # sqrt(1) = 1: fold into the rational part
-            if quad:
-                rat, quad = rat + quad, _ZERO_FRACTION
-        elif not quad:
-            D = 1
-        self.rat = rat
-        self.quad = quad
-        self.D = D
-        self._hash = None
+            a, b = a + b, 0
+        if c != 1:
+            g = math.gcd(a, b, c)
+            a, b, c = a // g, b // g, c // g
+        self.a = a
+        self.b = b
+        self.c = c
+        self.D = D if b else 1
 
     # -- coercion ----------------------------------------------------------
 
     @staticmethod
     def of(value) -> "ExactScalar":
-        if type(value) is ExactScalar:
+        kind = type(value)
+        if kind is ExactScalar:
             return value
+        if kind is int:
+            return _make(value, 0, 1, 1)
         return ExactScalar(value)
 
-    def _pair(self, other):
-        other = ExactScalar.of(other)
-        if self.D == 1 or other.D == 1 or self.D == other.D:
-            return other, max(self.D, other.D) if 1 in (self.D, other.D) else self.D
-        raise ValueError(f"mixed quadratic fields sqrt({self.D}) and sqrt({other.D})")
+    @property
+    def rat(self) -> Fraction:
+        """The rational part a/c."""
+        return Fraction(self.a, self.c)
+
+    @property
+    def quad(self) -> Fraction:
+        """The coefficient b/c of sqrt(D)."""
+        return Fraction(self.b, self.c)
 
     # -- field operations ----------------------------------------------------
 
     def __add__(self, other):
-        o, D = self._pair(other)
-        return ExactScalar(self.rat + o.rat, self.quad + o.quad, D)
+        if type(other) is int:
+            c = self.c
+            return _make(self.a + other * c, self.b, c, self.D)
+        other = ExactScalar.of(other)
+        D = self.D
+        if other.D != D:
+            D = _join(D, other.D)
+        c, oc = self.c, other.c
+        if c == oc:
+            return _make(self.a + other.a, self.b + other.b, c, D)
+        return _make(self.a * oc + other.a * c, self.b * oc + other.b * c, c * oc, D)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(-self.rat, -self.quad, self.D)
+        return _make(-self.a, -self.b, self.c, self.D)
 
     def __sub__(self, other):
-        return self + (-ExactScalar.of(other))
+        if type(other) is int:
+            c = self.c
+            return _make(self.a - other * c, self.b, c, self.D)
+        other = ExactScalar.of(other)
+        D = self.D
+        if other.D != D:
+            D = _join(D, other.D)
+        c, oc = self.c, other.c
+        if c == oc:
+            return _make(self.a - other.a, self.b - other.b, c, D)
+        return _make(self.a * oc - other.a * c, self.b * oc - other.b * c, c * oc, D)
 
     def __rsub__(self, other):
-        return ExactScalar.of(other) + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        o, D = self._pair(other)
-        if not self.quad and not o.quad:
-            return ExactScalar(self.rat * o.rat)
-        return ExactScalar(
-            self.rat * o.rat + self.quad * o.quad * D,
-            self.rat * o.quad + self.quad * o.rat,
-            D,
-        )
+        if type(other) is int:
+            return _make(self.a * other, self.b * other, self.c, self.D)
+        other = ExactScalar.of(other)
+        a, b, D = self.a, self.b, self.D
+        oa, ob = other.a, other.b
+        c = self.c * other.c
+        if not ob:
+            return _make(a * oa, b * oa, c, D)
+        if not b:
+            return _make(a * oa, a * ob, c, other.D)
+        if other.D != D:
+            D = _join(D, other.D)
+        return _make(a * oa + b * ob * D, a * ob + b * oa, c, D)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactScalar":
-        if self.rat == 0 and self.quad == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        # (a + b sqrt D)^-1 = (a - b sqrt D) / (a^2 - b^2 D); the norm is
+        a, b, c = self.a, self.b, self.c
+        if not b:
+            if not a:
+                raise ZeroDivisionError("division by zero scalar")
+            return _make(c, 0, a, 1) if a > 0 else _make(-c, 0, -a, 1)
+        # c / (a + b sqrt D) = c (a - b sqrt D) / (a^2 - b^2 D); the norm is
         # nonzero because D is square-free.
-        norm = self.rat * self.rat - self.quad * self.quad * self.D
-        return ExactScalar(self.rat / norm, -self.quad / norm, self.D)
+        norm = a * a - b * b * self.D
+        if norm < 0:
+            return _make(-c * a, c * b, -norm, self.D)
+        return _make(c * a, -c * b, norm, self.D)
 
     def __truediv__(self, other):
+        if type(other) is int and other:
+            if other < 0:
+                return _make(-self.a, -self.b, -other * self.c, self.D)
+            return _make(self.a, self.b, other * self.c, self.D)
         return self * ExactScalar.of(other).inverse()
 
     def __rtruediv__(self, other):
         return ExactScalar.of(other) * self.inverse()
 
     def __abs__(self):
-        return -self if self.sign() < 0 else self
+        return -self if _sign(self.a, self.b, self.D) < 0 else self
 
     # -- order ---------------------------------------------------------------
 
     def sign(self) -> int:
-        a, b = self.rat, self.quad
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        # Opposite signs: |a| vs |b| sqrt(D) decided by squaring.
-        t = a * a - b * b * self.D
-        assert t != 0, "square-free D cannot make a + b*sqrt(D) vanish"
-        s = 1 if t > 0 else -1
-        return s if a > 0 else -s
+        return _sign(self.a, self.b, self.D)
 
     def _cmp(self, other):
-        return (self - other).sign()
+        """The sign of self - other."""
+        if type(other) is int:
+            return _sign(self.a - other * self.c, self.b, self.D)
+        other = ExactScalar.of(other)
+        D = self.D
+        if other.D != D:
+            D = _join(D, other.D)
+        c, oc = self.c, other.c
+        if c == oc:
+            return _sign(self.a - other.a, self.b - other.b, D)
+        return _sign(self.a * oc - other.a * c, self.b * oc - other.b * c, D)
 
     def __eq__(self, other):
-        if isinstance(other, (ExactScalar, int, Fraction)):
-            o = ExactScalar.of(other)
-            return self.rat == o.rat and self.quad == o.quad and self.D == o.D
+        if type(other) is ExactScalar:
+            return (self.a == other.a and self.b == other.b and self.c == other.c
+                    and self.D == other.D)
+        if isinstance(other, int):
+            return self.c == 1 and not self.b and self.a == other
+        if isinstance(other, Fraction):
+            return (self.c == other.denominator and not self.b
+                    and self.a == other.numerator)
         return NotImplemented
 
     def __lt__(self, other):
@@ -176,47 +259,68 @@ class ExactScalar:
         return self._cmp(other) >= 0
 
     def __hash__(self):
-        if self._hash is None:
-            if self.quad:
-                self._hash = hash((self.rat, self.quad, self.D))
-            else:
-                # a rational hashes like the equal int or Fraction
-                self._hash = hash(self.rat)
-        return self._hash
+        a, b, c = self.a, self.b, self.c
+        if b:
+            return hash((a, b, c, self.D))
+        if c == 1:
+            return hash(a)
+        # a rational hashes like the equal Fraction, by the numeric hash rule
+        # of the Python documentation ("Hashing of numeric types")
+        inv = _hash_inverse(c)
+        h = hash(hash(abs(a)) * inv) if inv else sys.hash_info.inf
+        h = h if a >= 0 else -h
+        return -2 if h == -1 else h
 
     def __bool__(self):
-        return self.rat != 0 or self.quad != 0
+        return bool(self.a or self.b)
 
     # -- conversions -----------------------------------------------------------
 
     def __float__(self):
-        return float(self.rat) + float(self.quad) * math.sqrt(self.D)
+        return self.a / self.c + self.b / self.c * math.sqrt(self.D)
 
     def __floor__(self):
-        if self.quad == 0:
-            return math.floor(self.rat)
-        # self = (P + Q sqrt(D)) / R with R > 0; Q sqrt(D) is irrational, so
-        # floor(Q sqrt(D)) is isqrt(Q^2 D) or -isqrt(Q^2 D) - 1 by the sign of Q
-        a, b = self.rat.numerator, self.rat.denominator
-        c, d = self.quad.numerator, self.quad.denominator
-        R = b * d // math.gcd(b, d)
-        P, Q = a * (R // b), c * (R // d)
-        m = math.isqrt(Q * Q * self.D)
-        if Q < 0:
-            m = -m - 1
-        return (P + m) // R
+        a, b, c = self.a, self.b, self.c
+        if not b:
+            return a // c
+        # b sqrt(D) is irrational, so its floor is isqrt(b^2 D) or
+        # -isqrt(b^2 D) - 1 by the sign of b; and floor((a + y) / c) is
+        # (a + floor(y)) // c for an int c > 0
+        m = math.isqrt(b * b * self.D)
+        return (a + (m if b > 0 else -m - 1)) // c
 
     def __ceil__(self):
         return -math.floor(-self)
 
     def __str__(self):
-        if self.quad == 0:
-            return str(self.rat)
-        sign = "+" if self.quad > 0 else "-"
-        return f"{self.rat}{sign}{abs(self.quad)}√{self.D}"
+        rat = _ratio_str(self.a, self.c)
+        if not self.b:
+            return rat
+        sign = "+" if self.b > 0 else "-"
+        return f"{rat}{sign}{_ratio_str(abs(self.b), self.c)}√{self.D}"
 
     def __repr__(self):
         return f"ExactScalar({self})"
+
+
+_new = object.__new__
+
+
+def _make(a, b, c, D):
+    """The scalar (a + b*sqrt(D)) / c from ints with c > 0, D square-free
+    and D == 1 only if b == 0; no validation, and a gcd only when c != 1."""
+    if c != 1:
+        g = math.gcd(a, b, c)
+        if g != 1:
+            a //= g
+            b //= g
+            c //= g
+    s = _new(ExactScalar)
+    s.a = a
+    s.b = b
+    s.c = c
+    s.D = D if b else 1
+    return s
 
 
 ZERO = ExactScalar(0)
@@ -599,11 +703,8 @@ class GammaLattice:
                     raise ValueError("mixed quadratic fields in one subgroup")
                 D = g.D
         self.D = D
-        den = 1
-        for g in gens:
-            den = den * g.rat.denominator // math.gcd(den, g.rat.denominator)
-            den = den * g.quad.denominator // math.gcd(den, g.quad.denominator)
-        vecs = [(int(g.rat * den), int(g.quad * den)) for g in gens]
+        den = math.lcm(*(g.c for g in gens))
+        vecs = [(g.a * (den // g.c), g.b * (den // g.c)) for g in gens]
         basis = hnf_basis(vecs)
         g = den
         for v in basis:
@@ -637,11 +738,10 @@ class GammaLattice:
         v = ExactScalar.of(value)
         if v.D != 1 and self.D != 1 and v.D != self.D:
             return False
-        a = Fraction(v.rat) * self.den
-        b = Fraction(v.quad) * self.den
-        if a.denominator != 1 or b.denominator != 1:
+        a, b = v.a * self.den, v.b * self.den
+        if a % v.c or b % v.c:
             return False
-        target = (int(a), int(b))
+        target = (a // v.c, b // v.c)
         sol, _, cert = solve_integer(transpose(self.basis) if self.basis else ((),),
                                      target) if self.basis else (None, None, None)
         if not self.basis:
@@ -652,15 +752,10 @@ class GammaLattice:
         """Positive generator in the rank-one case."""
         if self.rank != 1:
             raise RankNotOne(f"lattice has rank {self.rank}")
-        a, b = self.basis[0]
-        g = ExactScalar(Fraction(a, self.den), Fraction(b, self.den), self.D)
-        return abs(g)
+        return abs(self.scalars()[0])
 
     def scalars(self):
-        return [
-            ExactScalar(Fraction(a, self.den), Fraction(b, self.den), self.D)
-            for a, b in self.basis
-        ]
+        return [_make(a, b, self.den, self.D) for a, b in self.basis]
 
     def to_json(self):
         return {"den": self.den, "basis": [list(v) for v in self.basis], "D": self.D}

@@ -9,6 +9,7 @@ uses 0-based indices into that order.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from . import lattice
 from .errors import (
@@ -28,16 +29,17 @@ def as_point(coords):
 
 
 def in_window(x, window) -> bool:
-    """True iff each coordinate of x lies in its closed (lo, hi) range.
+    """True iff each coordinate of the point x (ExactScalars, as `as_point`
+    gives) lies in its closed (lo, hi) range.
 
     A window of None, or a side of None, is unbounded.
     """
     if window is None:
         return True
     for c, (lo, hi) in zip(x, window):
-        if lo is not None and c < ExactScalar.of(lo):
+        if lo is not None and c < lo:
             return False
-        if hi is not None and c > ExactScalar.of(hi):
+        if hi is not None and c > hi:
             return False
     return True
 
@@ -85,6 +87,8 @@ class DelzantPolytope:
     """Ambient dimension, ordered facet list and the session field disc."""
 
     def __init__(self, dim, facets, field_disc=1):
+        # ints only: int() would truncate a float normal or dimension unseen
+        dim = operator.index(dim)
         self.dim = dim
         self.field_disc = field_disc
         built = []
@@ -95,7 +99,7 @@ class DelzantPolytope:
                 normal, offset = f.normal, f.offset
             else:
                 normal, offset = f
-            normal = tuple(int(c) for c in normal)
+            normal = tuple(operator.index(c) for c in normal)
             offset = ExactScalar.of(offset)
             if len(normal) != dim:
                 raise DimensionMismatch(

@@ -100,6 +100,18 @@ class TestPolytopeFiles:
         assert code == 2 and not out
         assert json.loads(err)["error"] == "ParseError"
 
+    @pytest.mark.parametrize("dim, normal", [(2.9, [1, 0]), (2, [1.5, 0])])
+    def test_float_normal_or_dim_exits_2(self, capsys, tmp_path, dim, normal):
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps({"dim": dim, "facets": [
+            {"normal": normal, "offset": "1"},
+            {"normal": [0, 1], "offset": "1"},
+            {"normal": [-1, -1], "offset": "2"},
+        ]}))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "ParseError"
+
 
 # the errors that answer a question in the negative; every other error is usage
 _NEGATIVE = {

@@ -52,6 +52,15 @@ class TestConstruction:
         with pytest.raises(TypeError):
             as_point((0, 0.1))
 
+    def test_float_normal_or_dim_rejected(self):
+        # int() would turn the normal (1.7, 0) into (1, 0) and dim 2.9 into 2
+        facets = [((1, 0), 1), ((0, 1), 1), ((-1, -1), 2)]
+        with pytest.raises(TypeError):
+            DelzantPolytope(2, [((1.7, 0), 1)] + facets[1:])
+        with pytest.raises(TypeError):
+            DelzantPolytope(2.9, facets)
+        assert DelzantPolytope(2, facets).facets[0].normal == (1, 0)
+
 
 def test_in_window_closed_bounds_and_open_sides():
     sqrt2 = scalar(0, 1, 2)
