@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NotPrimitive, RankNotOne, ZeroVector
+from .errors import DimensionMismatch, NotPrimitive, NotUnimodular, RankNotOne, ZeroVector
 
 
 def is_squarefree(n: int) -> bool:
@@ -390,16 +390,52 @@ def mat_det(M) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def unimodular_inverse(M):
-    """Exact inverse of an integer matrix with det +-1."""
-    n = len(M)
-    d = mat_det(M)
-    if d not in (1, -1):
-        from .errors import NotUnimodular
+def adjugate(M):
+    """(det M, adj M) for a square integer matrix, so that M adj = det I.
 
+    Fraction-free Gauss-Jordan (Bareiss) on [M | I]: every entry after a
+    step is a minor of the row-permuted augmented matrix, so each division
+    by the previous pivot is exact, and at the end the left block is
+    +-det I and the right block +-adj M.  A singular M has no full pivot
+    sequence; its adjugate is read off the cofactors.
+    """
+    n = len(M)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if not a[k][k]:
+            r = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if r is None:
+                return 0, tuple(
+                    tuple(
+                        (-1) ** (i + j) * mat_det(tuple(
+                            tuple(row[:i]) + tuple(row[i + 1:])
+                            for s, row in enumerate(M) if s != j
+                        ))
+                        for j in range(n)
+                    )
+                    for i in range(n)
+                )
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                row = a[i]
+                f = row[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+
+
+def unimodular_inverse(M):
+    """Exact inverse of an integer matrix with det +-1, which is det * adj M."""
+    d, adj = adjugate(M)
+    if d not in (1, -1):
         raise NotUnimodular(f"determinant {d}")
-    inv = field_inverse(tuple(tuple(Fraction(x) for x in row) for row in M))
-    return tuple(tuple(int(x) for x in row) for row in inv)
+    return adj if d == 1 else tuple(tuple(-x for x in row) for row in adj)
 
 
 def primitive_part(v):
@@ -658,25 +694,6 @@ def field_solve(A, b):
                 f = M[r][col]
                 M[r] = [x - f * y for x, y in zip(M[r], M[col])]
     return tuple(M[i][n] for i in range(n))
-
-
-def field_inverse(A):
-    """Inverse of a square matrix over Fractions (raises on singular)."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        M[col], M[piv] = M[piv], M[col]
-        f = M[col][col]
-        M[col] = [x / f for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                g = M[r][col]
-                M[r] = [x - g * y for x, y in zip(M[r], M[col])]
-    return tuple(tuple(row[n:]) for row in M)
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,14 @@ class MatrixGroup:
         }
 
 
+def _check_cap(cap):
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+
+
 def mulclose(generators, cap: int) -> MatrixGroup:
     """Close a set of +-1-determinant integer matrices under products."""
+    _check_cap(cap)
     gens = []
     for g in generators:
         g = tuple(tuple(int(c) for c in row) for row in g)
@@ -74,9 +80,13 @@ def mulclose(generators, cap: int) -> MatrixGroup:
             if truncated:
                 break
         frontier = new
-    # listed elements stay inverse-closed even when truncated
-    for g in list(elements):
-        elements.add(lattice.unimodular_inverse(g))
+    # Untruncated, the set is finite and closed under left multiplication by
+    # each generator, an injective map of it into itself and so a bijection:
+    # the set is the group generated, already closed under inverses.  A
+    # truncated list is made inverse-closed here.
+    if truncated:
+        for g in list(elements):
+            elements.add(lattice.unimodular_inverse(g))
     return MatrixGroup(
         tuple(sorted(gens)), tuple(sorted(elements)), truncated, cap
     )
@@ -91,6 +101,7 @@ def holonomy_group(graph: OrbitGraph, base, cap: int = 256) -> MatrixGroup:
     """
     from .polytope import as_point
 
+    _check_cap(cap)
     base = as_point(base)
     node_set = set(graph.nodes)
     if base not in node_set:
@@ -214,14 +225,43 @@ def _poly_det(M):
     return out
 
 
-def _poly_eval(p, t):
-    total = 0
-    for mono, c in p.items():
-        v = c
-        for var in mono:
-            v *= t[var]
-        total += v
-    return total
+def _poly_hits(p, k, bound, targets):
+    """The points t of [-bound, bound]^k with p(t) in targets, in lexicographic
+    order.  Variables 0..k-2 are fixed one at a time by specialising the
+    sparse polynomial (their entries lead each sorted monomial); the last
+    one is scanned with Horner's rule on its coefficient list."""
+    values = range(-bound, bound + 1)
+    if k == 0:
+        return [()] if p.get((), 0) in targets else []
+
+    size = max(map(len, p), default=0) + 1
+
+    def sweep(p, var):
+        # p as a polynomial in var: (power, monomial in later variables, coeff)
+        terms = []
+        for mono, c in p.items():
+            m = mono.count(var)
+            terms.append((m, mono[m:], c))
+        hits = []
+        if var == k - 1:
+            coeffs = [0] * size
+            for m, _, c in terms:
+                coeffs[size - 1 - m] += c
+            for v in values:
+                total = 0
+                for c in coeffs:
+                    total = total * v + c
+                if total in targets:
+                    hits.append((v,))
+            return hits
+        for v in values:
+            q = {}
+            for m, rest, c in terms:
+                q[rest] = q.get(rest, 0) + c * v ** m
+            hits.extend((v,) + t for t in sweep(q, var + 1))
+        return hits
+
+    return sweep(p, 0)
 
 
 def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
@@ -229,11 +269,21 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
 
     For every bijection of distinguished indices the remaining entries form
     an integer affine system (Maslov rows, area rows split over {1, sqrt D},
-    fixed second homology).  The answer is a list of solutions (free lattice
-    parameters enumerated in [-bound, bound], invertibility filtered), an
-    exact infeasibility certificate, or "inconclusive" when only the
-    nonlinear determinant condition is left undecided within the bound.
+    fixed second homology).  The answer is a list of solutions, an exact
+    infeasibility certificate, or "inconclusive" when only the nonlinear
+    determinant condition is left undecided within the bound.
+
+    The solutions of the system are z0 + sum t_k kernel_k; the sweep covers
+    the box [-bound, bound]^k of kernel parameters t and keeps the points
+    where det(induced) = +-1.  A box of more than 200 000 points is not
+    swept: only its centre t = 0 is tested.  The induced map on H_1 is
+    (Xi A)[:, J] adj(S) divided exactly by det S for an invertible block S
+    = Xi[:, J] of the normal matrix Xi; a solution whose division leaves a
+    remainder is not integral and is dropped.  A negative bound raises
+    ValueError.
     """
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     if not poly.normals_span():
         raise NotReductionType("facet normals do not span R^n")
     x = poly._require_interior(x)
@@ -258,7 +308,7 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
         )
     xi = lattice.transpose(tuple(f.normal for f in poly.facets))  # n x N
     _, h2 = poly.boundary_data()
-    det_S, J, S_inv = _induced_frame(xi, n, N)
+    det_S, J, adj_S = _induced_frame(xi, n, N)
     free = [i for i in range(N) if i not in I_x]
     f = len(free)
     solutions = []
@@ -286,7 +336,7 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
                 lattice.dot(row, z0) == b for row, b in zip(rows, rhs)
             ), "the identity must solve its own constraint system"
         # determinant condition det(induced) = +-1, i.e. det B(t) = +-det S
-        B0, Bk = _induced_blocks(xi, J, z0, kernel, free, fixed_cols, N, n)
+        B0, Bk = _induced_blocks(xi, J, z0, kernel, free, fixed_cols, N)
         detpoly = _poly_det(
             [
                 [
@@ -305,18 +355,11 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
         )
         degree = max((len(m) for m in detpoly), default=0)
         found = []
-        box = (2 * bound + 1) ** len(kernel)
-        if box <= 200_000:
-            for t in itertools.product(range(-bound, bound + 1), repeat=len(kernel)):
-                if _poly_eval(detpoly, t) in (det_S, -det_S):
-                    A = _assemble(z0, kernel, t, free, fixed_cols, N)
-                    induced = _induced_matrix(xi, A, J, S_inv, n)
-                    if induced is not None:
-                        found.append(AmbientSolution(A, induced, perm))
-        elif _poly_eval(detpoly, (0,) * len(kernel)) in (det_S, -det_S):
-            # the box is too large to sweep; still report the centre point
-            A = _assemble(z0, kernel, (0,) * len(kernel), free, fixed_cols, N)
-            induced = _induced_matrix(xi, A, J, S_inv, n)
+        # a box too large to sweep still reports its centre point
+        box_bound = bound if (2 * bound + 1) ** len(kernel) <= 200_000 else 0
+        for t in _poly_hits(detpoly, len(kernel), box_bound, (det_S, -det_S)):
+            A = _assemble(z0, kernel, t, free, fixed_cols, N)
+            induced = _induced_matrix(xi, A, J, adj_S, det_S)
             if induced is not None:
                 found.append(AmbientSolution(A, induced, perm))
         if found:
@@ -415,22 +458,27 @@ def _assemble(z0, kernel, t, free, fixed_cols, N):
     return tuple(map(tuple, A))
 
 
+def _columns(M, cols):
+    """The submatrix of M on the given columns."""
+    return tuple(tuple(row[c] for c in cols) for row in M)
+
+
 def _induced_frame(xi, n, N):
-    """A column subset J of the normal matrix with invertible n x n block."""
+    """(det S, J, adj S) for the first column subset J of the normal matrix
+    whose n x n block S is invertible."""
     for J in itertools.combinations(range(N), n):
-        S = tuple(tuple(xi[r][c] for c in J) for r in range(n))
+        S = _columns(xi, J)
         d = lattice.mat_det(S)
         if d != 0:
-            return d, J, lattice.field_inverse(S)
+            return d, J, lattice.adjugate(S)[1]
     raise NotReductionType("facet normals do not span R^n")
 
 
-def _induced_blocks(xi, J, z0, kernel, free, fixed_cols, N, n):
+def _induced_blocks(xi, J, z0, kernel, free, fixed_cols, N):
     """(Xi * A)[:, J] as an affine family B0 + sum t_k Bk."""
 
     def block(A):
-        XA = lattice.mat_mul(xi, A)
-        return tuple(tuple(XA[r][c] for c in J) for r in range(n))
+        return _columns(lattice.mat_mul(xi, A), J)
 
     B0 = block(_assemble(z0, kernel, (0,) * len(kernel), free, fixed_cols, N))
     Bk = []
@@ -443,22 +491,23 @@ def _induced_blocks(xi, J, z0, kernel, free, fixed_cols, N, n):
     return B0, Bk
 
 
-def _induced_matrix(xi, A, J, S_inv, n):
-    """The induced n x n map on H_1, or None when it is not integral."""
+def _induced_matrix(xi, A, J, adj, det):
+    """The induced n x n map M = (Xi A)[:, J] adj / det on H_1, or None when
+    it is not integral (a division leaves a remainder) or A does not preserve
+    the kernel of Xi.  An exact quotient has M Xi = Xi A on the columns J, so
+    only the other columns are checked."""
     XA = lattice.mat_mul(xi, A)
-    B = tuple(tuple(Fraction(XA[r][c]) for c in J) for r in range(n))
-    ind = lattice.mat_mul(B, S_inv)
     out = []
-    for row in ind:
+    for row in lattice.mat_mul(_columns(XA, J), adj):
         ints = []
         for v in row:
-            v = Fraction(v)
-            if v.denominator != 1:
+            q, r = divmod(v, det)
+            if r:
                 return None
-            ints.append(int(v))
+            ints.append(q)
         out.append(tuple(ints))
-    # consistency on all columns (A must preserve the kernel of Xi)
-    if lattice.mat_mul(out, xi) != XA:
+    rest = [c for c in range(len(A)) if c not in J]
+    if lattice.mat_mul(out, _columns(xi, rest)) != _columns(XA, rest):
         return None
     return tuple(out)
 
@@ -519,6 +568,6 @@ def check_ambient(poly: DelzantPolytope, x, y, A) -> AmbientReport:
     induced = None
     if poly.normals_span():
         xi = lattice.transpose(tuple(f.normal for f in poly.facets))
-        _, J, S_inv = _induced_frame(xi, poly.dim, N)
-        induced = _induced_matrix(xi, A, J, S_inv, poly.dim)
+        det_S, J, adj_S = _induced_frame(xi, poly.dim, N)
+        induced = _induced_matrix(xi, A, J, adj_S, det_S)
     return AmbientReport(distinguished, maslov, area, h2_ok, induced)

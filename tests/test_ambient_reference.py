@@ -1,0 +1,341 @@
+"""The integer ambient kernels against the Fraction references they replace.
+
+`lattice.adjugate`, `lattice.unimodular_inverse`, `monodromy._induced_matrix`
+and `monodromy._poly_hits` work in ints only.  The references kept here are
+the Fraction Gauss-Jordan inverse, the Fraction induced map (S^-1 applied
+to (Xi A)[:, J], integrality by denominator, consistency on every column)
+and the per-point sweep of the parameter box; `solve_ambient` and
+`check_ambient` must give identical outputs with either set.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from delzant import DelzantPolytope, lattice, monodromy, preset
+from delzant.errors import NotUnimodular
+from delzant.monodromy import check_ambient, solve_ambient
+from delzant.spaces import oracle_orbit
+from test_polytope import sample_interior
+
+
+# ---------------------------------------------------------------------------
+# Fraction references.
+# ---------------------------------------------------------------------------
+
+
+def field_inverse(A):
+    """Inverse of a square matrix over Fractions (raises on singular)."""
+    n = len(A)
+    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(A)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        M[col], M[piv] = M[piv], M[col]
+        f = M[col][col]
+        M[col] = [x / f for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                g = M[r][col]
+                M[r] = [x - g * y for x, y in zip(M[r], M[col])]
+    return tuple(tuple(row[n:]) for row in M)
+
+
+def fraction_det(A):
+    """Determinant by Fraction Gaussian elimination."""
+    M = [[Fraction(x) for x in row] for row in A]
+    n = len(M)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            det = -det
+        det *= M[col][col]
+        for r in range(col + 1, n):
+            g = M[r][col] / M[col][col]
+            M[r] = [x - g * y for x, y in zip(M[r], M[col])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def cofactor_adjugate(A):
+    n = len(A)
+    return tuple(
+        tuple(
+            (-1) ** (i + j) * fraction_det(
+                [row[:i] + row[i + 1:] for s, row in enumerate(A) if s != j]
+            )
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def fraction_induced_matrix(xi, A, J, adj, det):
+    """The Fraction induced map; ignores adj and det and inverts S itself."""
+    n = len(xi)
+    S_inv = field_inverse(tuple(tuple(xi[r][c] for c in J) for r in range(n)))
+    XA = lattice.mat_mul(xi, A)
+    B = tuple(tuple(Fraction(XA[r][c]) for c in J) for r in range(n))
+    out = []
+    for row in lattice.mat_mul(B, S_inv):
+        if any(Fraction(v).denominator != 1 for v in row):
+            return None
+        out.append(tuple(int(v) for v in row))
+    if lattice.mat_mul(out, xi) != XA:
+        return None
+    return tuple(out)
+
+
+def poly_eval(p, t):
+    total = 0
+    for mono, c in p.items():
+        v = c
+        for var in mono:
+            v *= t[var]
+        total += v
+    return total
+
+
+def product_hits(p, k, bound, targets):
+    """Every point of the box, one full polynomial evaluation each."""
+    return [
+        t for t in itertools.product(range(-bound, bound + 1), repeat=k)
+        if poly_eval(p, t) in targets
+    ]
+
+
+def reference(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        m.setattr(monodromy, "_induced_matrix", fraction_induced_matrix)
+        m.setattr(monodromy, "_poly_hits", product_hits)
+        return fn(*args)
+
+
+# ---------------------------------------------------------------------------
+# Cases: the benchmark's cn(4) pairs, seeded draws on presets, and two
+# polygons whose first invertible frame has determinant -2 or 2 (every
+# preset's has 1).
+# ---------------------------------------------------------------------------
+
+HEXAGON = DelzantPolytope(
+    2, [((-1, -1), 3), ((-1, 1), 3), ((1, 0), 2), ((0, 1), 2), ((-1, 0), 2), ((0, -1), 2)]
+)
+# the Hirzebruch trapezoid -1 <= x <= 2y + 3, |y| <= 1; first frame det 2
+TRAPEZOID = DelzantPolytope(2, [((1, 0), 1), ((-1, 2), 3), ((0, 1), 1), ((0, -1), 1)])
+F = Fraction
+
+
+def _cp2_twin_pair(rng):
+    """cp2 points with distance vectors (d, d+ag, d+bg), (d, d+a'g, d+b'g), a+b = a'+b'."""
+    s = rng.choice((5, 7, 8, 9, 11))
+    pairs = [(a, s - a) for a in range(1, s // 2 + 1) if math.gcd(a, s - a) == 1]
+    (a, b), (a2, b2) = rng.sample(pairs, 2)
+    d = F(rng.randint(1, 5), 7)
+    g = (3 - 3 * d) / s
+
+    def point(u, v):
+        ell = [d, d + u * g, d + v * g]
+        rng.shuffle(ell)
+        return (ell[0] - 1, ell[1] - 1)
+
+    return point(a, b), point(a2, b2)
+
+
+def _cases():
+    rng = random.Random(7)
+    cases = [
+        (preset("cn(4)"), (1, 2, 3, 4), (2, 1, 3, 4)),
+        (preset("cn(4)"), (1, 1, 2, 3), (1, 1, 3, 2)),
+    ]
+    cn3 = preset("cn(3)")
+    for _ in range(4):
+        x = tuple(F(rng.randint(1, 12), rng.randint(1, 3)) for _ in range(3))
+        cases.append((cn3, x, tuple(rng.sample(x, 3))))
+    for _ in range(3):
+        cases.append((preset("cp2"), *_cp2_twin_pair(rng)))
+    for name in ("s2s2_monotone", "c_x_s2"):
+        poly = preset(name)
+        for _ in range(3):
+            x = sample_interior(poly, rng)
+            window = ((-3, 3),) * 2
+            cases.append((poly, x, rng.choice(oracle_orbit(name, x, window))))
+    for x, y in (((0, 0), (0, 0)), ((F(1, 2), 0), (0, F(1, 2))),
+                 ((1, 0), (0, 1)), ((F(1, 3), F(1, 5)), (F(1, 3), F(1, 5)))):
+        cases.append((HEXAGON, x, y))
+    for x, y in (((0, 0), (0, 0)), ((F(1, 2), F(-1, 2)), (F(1, 2), F(-1, 2))),
+                 ((1, 0), (1, 0))):
+        cases.append((TRAPEZOID, x, y))
+    return cases
+
+
+CASES = _cases()
+IDS = [f"{len(p.facets)}facets-{i}" for i, (p, _, _) in enumerate(CASES)]
+
+
+def test_hexagon_frame_has_det_minus_2():
+    xi = lattice.transpose(tuple(f.normal for f in HEXAGON.facets))
+    det, J, adj = monodromy._induced_frame(xi, 2, HEXAGON.nfacets)
+    assert det == -2 and J == (0, 1)
+    assert adj == cofactor_adjugate([list(r) for r in ((-1, -1), (-1, 1))])
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_solve_ambient_matches_reference(case, monkeypatch):
+    poly, x, y = case
+    fast = solve_ambient(poly, x, y, 3).to_json()
+    assert fast == reference(monkeypatch, solve_ambient, poly, x, y, 3).to_json()
+
+
+def _probe_matrices(poly, x, y, rng):
+    """Up to 30 solutions, each also with one entry moved by +-1, and small
+    random matrices: induced maps that exist, are not integral or fail the
+    kernel check."""
+    sols = solve_ambient(poly, x, y, 2).solutions
+    step = max(1, len(sols) // 30)
+    out = []
+    N = poly.nfacets
+    for s in sols[::step]:
+        out.append(s.A)
+        A = [list(r) for r in s.A]
+        A[rng.randrange(N)][rng.randrange(N)] += rng.choice((-1, 1))
+        out.append(A)
+    for _ in range(20):
+        out.append([[rng.randint(-2, 2) for _ in range(N)] for _ in range(N)])
+    return out
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_check_ambient_induced_matches_reference(case, monkeypatch):
+    poly, x, y = case
+    rng = random.Random(11)
+    for A in _probe_matrices(poly, x, y, rng):
+        fast = check_ambient(poly, x, y, A).induced
+        assert fast == reference(monkeypatch, check_ambient, poly, x, y, A).induced
+
+
+def test_division_test_drops_non_integral_maps(monkeypatch):
+    """On the trapezoid the columns outside the frame J = (0, 1) are +-e2, so
+    the kernel check sees only the second column of the map: a map with a
+    half-integral entry whose floor passes that check is dropped by the
+    exact-division test alone."""
+    poly, x = TRAPEZOID, (0, 0)
+    xi = lattice.transpose(tuple(f.normal for f in poly.facets))
+    det, J, adj = monodromy._induced_frame(xi, 2, poly.nfacets)
+    S = ((1, -1), (0, 2))
+    assert (det, J) == (2, (0, 1))
+    rng = random.Random(5)
+    for _ in range(40):
+        # M S is integral iff the first column of M is and 2 M's second is
+        M = [[rng.randint(-2, 2), F(rng.randint(-4, 4), 2)] for _ in range(2)]
+        if all(F(v).denominator == 1 for row in M for v in row):
+            M[0][1] = F(1, 2)
+        floor_M = [[math.floor(v) for v in row] for row in M]
+        B = lattice.mat_mul(M, S)
+        cols = [lattice.transpose(B)[0], lattice.transpose(B)[1],
+                (floor_M[0][1], floor_M[1][1]), (-floor_M[0][1], -floor_M[1][1])]
+        # columns e1 and e2 of Xi are facets 0 and 2: lift each target column
+        A = lattice.transpose([(int(a), 0, int(b), 0) for a, b in cols])
+        assert lattice.mat_mul(xi, A) == lattice.transpose(cols)
+        assert monodromy._induced_matrix(xi, A, J, adj, det) is None
+        assert check_ambient(poly, x, x, A).induced is None
+        assert reference(monkeypatch, check_ambient, poly, x, x, A).induced is None
+
+
+# ---------------------------------------------------------------------------
+# Kernels on generated input.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def int_matrices(draw, max_n=5):
+    n = draw(st.integers(0, max_n))
+    rows = [draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        # make it singular: one row a combination of the others
+        i = draw(st.integers(0, n - 1))
+        others = st.sampled_from([r for r in range(n) if r != i])
+        j, k = draw(others), draw(others)
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+def test_adjugate_matches_fraction(M):
+    det, adj = lattice.adjugate(M)
+    assert det == fraction_det(M) == lattice.mat_det(M)
+    assert adj == cofactor_adjugate(M)
+    n = len(M)
+    assert lattice.mat_mul(M, adj) == tuple(
+        tuple(det * int(i == j) for j in range(n)) for i in range(n)
+    )
+    if det:
+        inv = field_inverse(M)
+        assert adj == tuple(tuple(det * v for v in row) for row in inv)
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of row swaps, sign changes and elementary row additions."""
+    n = draw(st.integers(1, 4))
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(("swap", "negate", "add")))
+        if op == "swap":
+            M[i], M[j] = M[j], M[i]
+        elif op == "negate":
+            M[i] = [-x for x in M[i]]
+        elif i != j:
+            c = draw(st.integers(-3, 3))
+            M[i] = [x + c * y for x, y in zip(M[i], M[j])]
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(int_matrices(max_n=4), unimodular_matrices()))
+def test_unimodular_inverse(M):
+    det = fraction_det(M)
+    if det in (1, -1):
+        inv = lattice.unimodular_inverse(M)
+        assert inv == tuple(tuple(int(v) for v in row) for row in field_inverse(M))
+        assert all(type(v) is int for row in inv for v in row)
+    else:
+        with pytest.raises(NotUnimodular):
+            lattice.unimodular_inverse(M)
+
+
+@st.composite
+def sparse_polys(draw):
+    k = draw(st.integers(0, 4))
+    monos = st.lists(st.integers(0, k - 1), max_size=4).map(lambda m: tuple(sorted(m))) \
+        if k else st.just(())
+    p = {}
+    for mono, c in draw(st.lists(st.tuples(monos, st.integers(-4, 4)), max_size=8)):
+        if c:
+            p[mono] = c
+    bound = draw(st.integers(0, 3))
+    t = draw(st.lists(st.integers(-bound, bound), min_size=k, max_size=k))
+    targets = (poly_eval(p, t), draw(st.integers(-3, 3)))
+    return p, k, bound, targets
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_polys())
+def test_poly_hits_matches_brute_force(case):
+    p, k, bound, targets = case
+    hits = monodromy._poly_hits(p, k, bound, targets)
+    assert hits == product_hits(p, k, bound, targets)
+    assert hits  # the drawn point hits its own value

@@ -215,6 +215,22 @@ class TestDispatch:
         assert code == 1
         assert json.loads(out)["kind"] == "infeasible"
 
+    def test_ambient_negative_bound_exit2(self, capsys):
+        code, out, err = run(
+            capsys, "ambient", "preset:cp2", "--from", "-1/2,-1/5",
+            "--to", "-1/2,-1/5", "--bound", "-1",
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "ValueError"
+
+    def test_monodromy_cap_below_one_exit2(self, capsys):
+        code, out, err = run(
+            capsys, "monodromy", "preset:cp2", "--point", "0,0",
+            "--max-norm", "1", "--cap", "0",
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "ValueError"
+
     def test_monodromy(self, capsys):
         code, out, _ = run(
             capsys, "monodromy", "preset:s2s2_monotone", "--point", "0,0",

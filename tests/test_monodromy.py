@@ -1,5 +1,6 @@
 """Holonomy groups and the ambient monodromy constraint solver."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from delzant import OrbitParams, explore, preset
 from delzant.errors import BaseNotInGraph, NotReductionType
-from delzant.lattice import identity, mat_det, mat_vec, unimodular_inverse
+from delzant.lattice import identity, mat_det, mat_mul, mat_vec, unimodular_inverse
 from delzant.monodromy import (
     check_ambient,
     holonomy_group,
@@ -102,7 +103,69 @@ class TestHolonomy:
             assert set(a.elements) == set(b.elements)
 
 
+def _mulclose_reference(generators, cap):
+    """The closure with the final inverse pass run whether truncated or not."""
+    gens = []
+    for g in generators:
+        g = tuple(tuple(row) for row in g)
+        if g not in gens:
+            gens.append(g)
+    seed = set(gens) | {identity(len(gens[0]))} | {unimodular_inverse(g) for g in gens}
+    elements, frontier, truncated = set(seed), list(seed), False
+    while frontier and not truncated:
+        new = []
+        for a in gens:
+            for b in frontier:
+                c = mat_mul(a, b)
+                if c not in elements:
+                    elements.add(c)
+                    new.append(c)
+                    if len(elements) >= cap:
+                        truncated = True
+                        break
+            if truncated:
+                break
+        frontier = new
+    for g in list(elements):
+        elements.add(unimodular_inverse(g))
+    return tuple(sorted(elements)), truncated
+
+
+def _probe_involution(rng, n):
+    """I + (xi' - xi) v^T with <v, xi> = 1 and <v, xi'> = -1, small entries."""
+    box = list(itertools.product(range(-2, 3), repeat=n))
+    while True:
+        v = rng.choice(box)
+        xi = [w for w in box if sum(a * b for a, b in zip(v, w)) == 1]
+        xi2 = [w for w in box if sum(a * b for a, b in zip(v, w)) == -1]
+        if xi and xi2:
+            p, q = rng.choice(xi), rng.choice(xi2)
+            return tuple(
+                tuple(int(i == j) + (q[i] - p[i]) * v[j] for j in range(n))
+                for i in range(n)
+            )
+
+
 class TestMulclose:
+    def test_matches_reference_on_probe_involutions(self):
+        rng = random.Random(83)
+        complete = 0
+        for i in range(60):
+            n = 2 + i % 2
+            gens = [_probe_involution(rng, n) for _ in range(rng.randint(2, 3))]
+            for cap in (32, 64):
+                group = mulclose(gens, cap)
+                assert (group.elements, group.truncated) == _mulclose_reference(gens, cap)
+                complete += not group.truncated
+        assert complete >= 10  # the untruncated path, which skips the inverse pass
+
+    def test_cap_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            mulclose([((1, 1), (0, 1))], cap=0)
+        graph = _graph("cp2", (0, 0), max_norm=1)
+        with pytest.raises(ValueError):
+            holonomy_group(graph, (0, 0), cap=0)
+
     def test_finite_closure(self):
         gens = [((-1, 0), (0, 1)), ((1, 0), (0, -1))]
         group = mulclose(gens, cap=64)
@@ -175,6 +238,12 @@ class TestSolveAmbient:
             induced = {s.induced for s in out.solutions}
             for m in hol.elements:
                 assert m in induced
+
+    def test_negative_bound_rejected(self):
+        x = (Fraction(-1, 2), Fraction(-1, 5))
+        with pytest.raises(ValueError):
+            solve_ambient(preset("cp2"), x, x, bound=-1)
+        assert solve_ambient(preset("cp2"), x, x, bound=0).kind == "solutions"
 
     def test_not_reduction_type(self):
         with pytest.raises(NotReductionType):
