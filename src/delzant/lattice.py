@@ -340,10 +340,13 @@ def scalar(rat, quad=0, D=1) -> ExactScalar:
 def dot(u, v):
     if len(u) != len(v):
         raise DimensionMismatch(f"dot of lengths {len(u)} and {len(v)}")
-    if not u:
+    pairs = zip(u, v)
+    for a, b in pairs:
+        total = a * b
+        break
+    else:
         return 0
-    total = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
+    for a, b in pairs:
         total = total + a * b
     return total
 
@@ -366,28 +369,8 @@ def identity(n):
 
 
 def mat_det(M) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(M)
-    if n == 0:
-        return 1
-    a = [list(row) for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Determinant of a square integer matrix (the det of `adjugate`)."""
+    return adjugate(M)[0]
 
 
 def adjugate(M):
@@ -397,7 +380,7 @@ def adjugate(M):
     step is a minor of the row-permuted augmented matrix, so each division
     by the previous pivot is exact, and at the end the left block is
     +-det I and the right block +-adj M.  A singular M has no full pivot
-    sequence; its adjugate is read off the cofactors.
+    sequence and gives (0, None).
     """
     n = len(M)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
@@ -407,16 +390,7 @@ def adjugate(M):
         if not a[k][k]:
             r = next((r for r in range(k + 1, n) if a[r][k]), None)
             if r is None:
-                return 0, tuple(
-                    tuple(
-                        (-1) ** (i + j) * mat_det(tuple(
-                            tuple(row[:i]) + tuple(row[i + 1:])
-                            for s, row in enumerate(M) if s != j
-                        ))
-                        for j in range(n)
-                    )
-                    for i in range(n)
-                )
+                return 0, None
             a[k], a[r] = a[r], a[k]
             sign = -sign
         pivot_row = a[k]
@@ -665,38 +639,6 @@ def solve_integer(M, b):
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra over the scalar field (Gaussian elimination).
-# ---------------------------------------------------------------------------
-
-
-def field_solve(A, b):
-    """Solve the square system A x = b over the scalar field.
-
-    Entries may be ints, Fractions or ExactScalars.  Returns None when A is
-    singular.
-    """
-    n = len(A)
-    M = [[ExactScalar.of(x) for x in row] + [ExactScalar.of(b[i])]
-         for i, row in enumerate(A)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if M[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col].inverse()
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return tuple(M[i][n] for i in range(n))
-
-
-# ---------------------------------------------------------------------------
 # Finitely generated subgroups of Q(sqrt(D)) as lattices in Q^2.
 # ---------------------------------------------------------------------------
 
@@ -753,17 +695,15 @@ class GammaLattice:
 
     def contains(self, value) -> bool:
         v = ExactScalar.of(value)
+        if not self.basis:
+            return not v
         if v.D != 1 and self.D != 1 and v.D != self.D:
             return False
         a, b = v.a * self.den, v.b * self.den
         if a % v.c or b % v.c:
             return False
         target = (a // v.c, b // v.c)
-        sol, _, cert = solve_integer(transpose(self.basis) if self.basis else ((),),
-                                     target) if self.basis else (None, None, None)
-        if not self.basis:
-            return target == (0, 0)
-        return cert is None and sol is not None
+        return solve_integer(transpose(self.basis), target)[2] is None
 
     def generator(self) -> ExactScalar:
         """Positive generator in the rank-one case."""

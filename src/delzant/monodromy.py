@@ -467,10 +467,9 @@ def _induced_frame(xi, n, N):
     """(det S, J, adj S) for the first column subset J of the normal matrix
     whose n x n block S is invertible."""
     for J in itertools.combinations(range(N), n):
-        S = _columns(xi, J)
-        d = lattice.mat_det(S)
+        d, adj = lattice.adjugate(_columns(xi, J))
         if d != 0:
-            return d, J, lattice.adjugate(S)[1]
+            return d, J, adj
     raise NotReductionType("facet normals do not span R^n")
 
 
@@ -480,15 +479,8 @@ def _induced_blocks(xi, J, z0, kernel, free, fixed_cols, N):
     def block(A):
         return _columns(lattice.mat_mul(xi, A), J)
 
-    B0 = block(_assemble(z0, kernel, (0,) * len(kernel), free, fixed_cols, N))
-    Bk = []
-    for k in kernel:
-        Ak = [[0] * N for _ in range(N)]
-        for s, i in enumerate(free):
-            for j in range(N):
-                Ak[j][i] = k[s * N + j]
-        Bk.append(block(tuple(map(tuple, Ak))))
-    return B0, Bk
+    B0 = block(_assemble(z0, (), (), free, fixed_cols, N))
+    return B0, [block(_assemble(k, (), (), free, {}, N)) for k in kernel]
 
 
 def _induced_matrix(xi, A, J, adj, det):

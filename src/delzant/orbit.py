@@ -115,22 +115,22 @@ def explore(poly: DelzantPolytope, x, params: OrbitParams) -> OrbitGraph:
     edges = []
     edge_keys = set()
     parents = {}
-    ell = {root: poly.ell(root)}
-    in_window = {root: True}
-    depth = {root: 0}
-    queued = {root}
+    # point -> [distances, inside the window, depth, queued]; the depth is
+    # that of the first discovery
+    records = {root: [poly.ell(root), True, 0, True]}
     truncated = False
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        if depth[u] >= params.max_depth:
+        ell_u, inside_u, depth_u, _ = records[u]
+        if depth_u >= params.max_depth:
             truncated = True
             continue
-        ell_u = ell[u]
         for hit in solver.hits(ell_u):
             v = solver.partner(u, hit)
             move = None
-            if v not in in_window:
+            rec = records.get(v)
+            if rec is None:
                 inside = params.in_window(v)
                 if inside and len(nodes) >= params.max_points:
                     truncated = True
@@ -138,27 +138,20 @@ def explore(poly: DelzantPolytope, x, params: OrbitParams) -> OrbitGraph:
                 ell_v = solver.partner_ell(ell_u, hit)
                 if any(c.sign() <= 0 for c in ell_v):
                     raise NotInterior(f"partner {point_str(v)} left the open polytope")
-                ell[v] = ell_v
-                in_window[v] = inside
-                depth[v] = depth[u] + 1
+                rec = records[v] = [ell_v, inside, depth_u + 1, inside]
                 move = _move(solver, u, v, hit)
                 parents[v] = (u, move)
                 if inside:
                     nodes.append(v)
                     queue.append(v)
-                    queued.add(v)
                 else:
                     truncated = True
-            if (
-                not in_window[v]
-                and in_window[u]
-                and v not in queued
-            ):
+            if inside_u and not rec[1] and not rec[3]:
                 # one shell only: expand out-of-window points once they are
                 # reached from inside, never chains of them
                 queue.append(v)
-                queued.add(v)
-            if in_window[u] and in_window[v]:
+                rec[3] = True
+            if inside_u and rec[1]:
                 d, _, entry, _, exit_ = hit
                 key = edge_key(u, v, d.v, entry, exit_)
                 if key not in edge_keys:

@@ -197,13 +197,11 @@ class DelzantPolytope:
         """
         vertices = {}
         for subset in itertools.combinations(range(self.nfacets), self.dim):
-            A = [self.facets[i].normal for i in subset]
-            det = lattice.mat_det(A)
+            det, adj = lattice.adjugate([self.facets[i].normal for i in subset])
             if det == 0:
                 continue
-            sol = lattice.field_solve(A, [-self.facets[i].offset for i in subset])
-            if sol is None:
-                continue
+            rhs = [-self.facets[i].offset for i in subset]
+            sol = tuple(c / det for c in lattice.mat_vec(adj, rhs))
             values = self.ell(sol)
             if any(v.sign() < 0 for v in values):
                 continue

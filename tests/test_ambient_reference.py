@@ -276,14 +276,16 @@ def int_matrices(draw, max_n=5):
 def test_adjugate_matches_fraction(M):
     det, adj = lattice.adjugate(M)
     assert det == fraction_det(M) == lattice.mat_det(M)
+    if det == 0:
+        assert adj is None
+        return
     assert adj == cofactor_adjugate(M)
     n = len(M)
     assert lattice.mat_mul(M, adj) == tuple(
         tuple(det * int(i == j) for j in range(n)) for i in range(n)
     )
-    if det:
-        inv = field_inverse(M)
-        assert adj == tuple(tuple(det * v for v in row) for row in inv)
+    inv = field_inverse(M)
+    assert adj == tuple(tuple(det * v for v in row) for row in inv)
 
 
 @st.composite

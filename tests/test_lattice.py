@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delzant import lattice
-from delzant.errors import NotPrimitive, ZeroVector
+from delzant.errors import DimensionMismatch, NotPrimitive, ZeroVector
 from delzant.lattice import (
     ExactScalar,
     GammaLattice,
@@ -310,6 +310,11 @@ class TestGammaLattice:
         h = GammaLattice([scalar(1, 1, 2)])
         assert h.contains(scalar(2, 2, 2))
         assert not h.contains(scalar(1))
+        for g in (GammaLattice([]), GammaLattice([0, scalar(0, 0, 2)])):
+            assert g.rank == 0
+            assert g.contains(0) and g.contains(scalar(0))
+            assert not g.contains(Fraction(1, 3))
+            assert not g.contains(scalar(0, 1, 2))
 
     def test_invariant_under_recombination(self):
         # integer row operations on the generators fix the subgroup
@@ -377,3 +382,24 @@ def test_hnf_canonical_for_equal_lattices():
             if i != j:
                 mixed[i] = tuple(a + k * b for a, b in zip(mixed[i], mixed[j]))
         assert hnf_basis(mixed + vecs) == basis
+
+
+def test_dot_edge_cases_and_op_count(monkeypatch):
+    assert lattice.dot((), ()) == 0
+    assert lattice.dot((2, 3), (5, -1)) == 7
+    with pytest.raises(DimensionMismatch):
+        lattice.dot((1, 2), (1,))
+    adds = []
+    add = ExactScalar.__add__
+
+    def counting_add(self, other):
+        adds.append(other)
+        return add(self, other)
+
+    monkeypatch.setattr(ExactScalar, "__add__", counting_add)
+    monkeypatch.setattr(ExactScalar, "__radd__", counting_add)
+    u = (scalar(1, 1, 2), scalar(Fraction(1, 2)), scalar(3))
+    assert lattice.dot(u, (1, 2, 3)) == scalar(11, 1, 2)
+    # n - 1 additions for n terms, none of them starting from 0
+    assert len(adds) == 2
+    assert lattice.dot(u[:1], (4,)) == scalar(4, 4, 2) and len(adds) == 2

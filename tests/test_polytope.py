@@ -1,9 +1,13 @@
 """Polytope model: distances, invariants, vertices, affine maps."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delzant import DelzantPolytope, as_point, preset, scalar
 from delzant.errors import (
@@ -13,7 +17,7 @@ from delzant.errors import (
     NotUnimodular,
     ValidationError,
 )
-from delzant.lattice import GammaLattice, mat_vec
+from delzant.lattice import ExactScalar, GammaLattice, mat_vec
 from delzant.polytope import in_window
 
 
@@ -157,6 +161,104 @@ class TestCheckDelzant:
         poly = DelzantPolytope(2, [((1, 0), 1), ((0, 1), 1), ((-1, -2), 1)])
         with pytest.raises(NotDelzant):
             poly.check_delzant()
+
+
+def field_solve(A, b):
+    """Solve the square system A x = b by Gauss-Jordan over the scalar field;
+    None when A is singular.  The reference for `check_delzant`'s vertices."""
+    n = len(A)
+    M = [[ExactScalar.of(x) for x in row] + [ExactScalar.of(b[i])]
+         for i, row in enumerate(A)]
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if M[r][col]:
+                piv = r
+                break
+        if piv is None:
+            return None
+        M[col], M[piv] = M[piv], M[col]
+        inv = M[col][col].inverse()
+        M[col] = [x * inv for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col]:
+                f = M[r][col]
+                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    return tuple(M[i][n] for i in range(n))
+
+
+def reference_vertices(poly):
+    """Sorted (point, active facets, det) of every vertex, each point solved
+    by `field_solve` on the first facet subset that meets there."""
+    vertices = {}
+    for subset in itertools.combinations(range(poly.nfacets), poly.dim):
+        A = [poly.facets[i].normal for i in subset]
+        sol = field_solve(A, [-poly.facets[i].offset for i in subset])
+        if sol is None or sol in vertices:
+            continue
+        values = poly.ell(sol)
+        if any(v.sign() < 0 for v in values):
+            continue
+        active = tuple(i for i, v in enumerate(values) if not v)
+        vertices[sol] = (sol, active, int(sympy.Matrix(A).det()))
+    return sorted(vertices.values())
+
+
+def vertex_triples(poly):
+    return [(v.point, v.active, v.det) for v in poly.check_delzant()]
+
+
+PRESETS = ("cp2", "s2s2_monotone", "c_x_s2", "c2_x_ts1", "ts1_x_s2",
+           "cn(1)", "cn(2)", "cn(3)", "cn(4)")
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_vertices_match_field_solve(name):
+    poly = preset(name)
+    assert vertex_triples(poly) == reference_vertices(poly)
+
+
+@st.composite
+def unimodular_2x2(draw):
+    """Products of row swaps, sign changes and elementary row additions."""
+    M = [[1, 0], [0, 1]]
+    for _ in range(draw(st.integers(0, 6))):
+        op = draw(st.sampled_from(("swap", "negate", "add")))
+        i = draw(st.integers(0, 1))
+        if op == "swap":
+            M.reverse()
+        elif op == "negate":
+            M[i] = [-x for x in M[i]]
+        else:
+            c = draw(st.integers(-3, 3))
+            M[i] = [x + c * y for x, y in zip(M[i], M[1 - i])]
+    return tuple(map(tuple, M))
+
+
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(("cp2", "s2s2_monotone", "c_x_s2")),
+    st.sampled_from((1, 2, 5)),
+    unimodular_2x2(),
+    st.tuples(fractions, fractions),
+    st.tuples(fractions, fractions),
+)
+def test_vertices_of_affine_images(name, D, M, t_rat, t_quad):
+    """On images x -> Mx + t, with t in Q(sqrt D)^2, `check_delzant` agrees
+    with `field_solve` and maps the vertices by the same affine map."""
+    base = preset(name)
+    poly = DelzantPolytope(2, [(f.normal, f.offset) for f in base.facets], D)
+    t = tuple(scalar(r, q, D) for r, q in zip(t_rat, t_quad))
+    image = poly.apply_affine(M, t)
+    assert vertex_triples(image) == reference_vertices(image)
+    moved = sorted(
+        tuple(a + b for a, b in zip(mat_vec(M, v.point), t))
+        for v in poly.check_delzant()
+    )
+    assert [v.point for v in image.check_delzant()] == moved
 
 
 class TestApplyAffine:
