@@ -3,10 +3,9 @@
 Scalars are elements (a + b*sqrt(D)) / c stored as four ints, with D a
 fixed square-free integer (D = 1 collapses to plain Q).  All comparisons
 are decided exactly; no floating point enters any computation.  Integer
-vectors and matrices are plain tuples; the normal-form routines
-(Hermite-style column echelon, Smith-style diagonalization) return the
-unimodular transforms needed for kernels, basis extension and integer
-linear solving.
+vectors and matrices are plain tuples of rows.  One row Hermite form,
+`row_hnf`, with its unimodular transform gives canonical lattice bases,
+integer kernels and integer linear solving.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NotPrimitive, NotUnimodular, RankNotOne, ZeroVector
+from .errors import DimensionMismatch, NotUnimodular, RankNotOne, ZeroVector
 
 
 def is_squarefree(n: int) -> bool:
@@ -490,49 +489,25 @@ def row_hnf(M):
     return tuple(map(tuple, H)), tuple(map(tuple, U))
 
 
-def column_hnf(M):
-    """Column-style Hermite form: (H, U) with M*U = H lower echelon,
-    positive pivots, entries left of a pivot reduced mod the pivot."""
-    Ht, Ut = row_hnf(transpose(M))
-    return transpose(Ht), transpose(Ut)
-
-
 def hnf_basis(vectors):
     """Canonical ordered basis of the lattice generated by the vectors.
 
-    Columns of the column Hermite form with zero columns dropped; used as
-    the one canonical form for lattice dedup and equality everywhere.
+    The nonzero rows of the row Hermite form of the vectors taken as rows;
+    used as the one canonical form for lattice dedup and equality
+    everywhere.
     """
-    vecs = [v for v in vectors if any(v)]
-    if not vecs:
-        return []
-    M = transpose(tuple(vecs))  # vectors as columns
-    H, _ = column_hnf(M)
-    cols = transpose(H)
-    return [c for c in cols if any(c)]
+    H, _ = row_hnf(tuple(vectors))
+    return [h for h in H if any(h)]
 
 
 def kernel_lattice(M):
-    """Basis of the integer kernel {r : M r = 0}, HNF-canonical order."""
-    if not M or not M[0]:
-        n = len(M[0]) if M else 0
-        return [tuple(identity(n)[i]) for i in range(n)]
-    H, U = column_hnf(M)
-    cols = transpose(H)
-    ker = [u for u, h in zip(transpose(U), cols) if not any(h)]
-    return hnf_basis(ker)
+    """Basis of the integer kernel {r : M r = 0}, HNF-canonical order.
 
-
-def extend_to_basis(v):
-    """A unimodular matrix whose first column is the primitive vector v."""
-    if not is_primitive(v):
-        raise NotPrimitive(f"{v} is not primitive")
-    col = tuple((x,) for x in v)
-    H, U = row_hnf(col)
-    assert H[0][0] == 1
-    B = unimodular_inverse(U)
-    assert tuple(row[0] for row in B) == tuple(v)
-    return B
+    U M^T = H is the row Hermite form of the transpose, so the rows of U
+    beside the zero rows of H span the kernel.
+    """
+    H, U = row_hnf(transpose(M))
+    return hnf_basis(u for u, h in zip(U, H) if not any(h))
 
 
 def generates_full_lattice(vectors) -> bool:
@@ -576,41 +551,34 @@ def solve_integer(M, b):
 
     Returns (z0, kernel_basis, None) on success, where the solution set is
     z0 + Z-span(kernel_basis), or (None, kernel_basis, certificate) when no
-    integer solution exists.  Works on the column Hermite form M*U = H: the
-    echelon system H w = b has a unique rational solution on pivot
-    coordinates, and divisibility failures translate into certificate
-    functionals because U is unimodular.
+    integer solution exists.  Works on the row Hermite form U M^T = H of
+    the transpose: with z = U^T w the system reads H^T w = b, which has a
+    unique rational solution on the coordinates of the nonzero rows of H,
+    and divisibility failures translate into certificate functionals
+    because U is unimodular.
     """
     m = len(M)
-    k = len(M[0]) if m else 0
     if len(b) != m:
         raise DimensionMismatch("rhs length does not match row count")
-    if m == 0 or k == 0:
-        kernel = [tuple(identity(k)[i]) for i in range(k)]
-        if any(b):
-            r = next(i for i, v in enumerate(b) if v)
-            u = tuple(Fraction(int(i == r), 2 * b[r]) for i in range(m))
-            return None, kernel, IntegerInfeasible(u, M, b)
-        return (0,) * k, kernel, None
-    H, U = column_hnf(M)
-    cols = transpose(H)
-    kernel = [tuple(u) for u, h in zip(transpose(U), cols) if not any(h)]
-    pivots = []  # (row, column), increasing in both
-    for j, col in enumerate(cols):
-        r = next((i for i, v in enumerate(col) if v), None)
+    H, U = row_hnf(transpose(M))
+    k = len(H)
+    kernel = [u for u, h in zip(U, H) if not any(h)]
+    pivots = []  # (row of M, row of H), increasing in both
+    for j, h in enumerate(H):
+        r = next((i for i, v in enumerate(h) if v), None)
         if r is not None:
             pivots.append((r, j))
     w = [0] * k
-    funcs = {}  # column -> functional in Q^m computing w_j from the rhs
+    funcs = {}  # row of H -> functional in Q^m computing w_j from the rhs
     for r, j in pivots:
-        p = H[r][j]
+        p = H[j][r]
         val = Fraction(b[r])
         func = [Fraction(0)] * m
         func[r] = Fraction(1)
         for r2, j2 in pivots:
             if j2 >= j:
                 break
-            h = H[r][j2]
+            h = H[j2][r]
             if h:
                 val -= h * w[j2]
                 func = [a - h * c for a, c in zip(func, funcs[j2])]
@@ -624,17 +592,17 @@ def solve_integer(M, b):
         if r in pivot_rows:
             continue
         residual = Fraction(b[r]) - sum(
-            Fraction(H[r][j] * w[j]) for _, j in pivots
+            Fraction(H[j][r] * w[j]) for _, j in pivots
         )
         if residual:
             psi = [Fraction(0)] * m
             psi[r] = Fraction(1)
             for _, j in pivots:
-                if H[r][j]:
-                    psi = [a - H[r][j] * c for a, c in zip(psi, funcs[j])]
+                if H[j][r]:
+                    psi = [a - H[j][r] * c for a, c in zip(psi, funcs[j])]
             u = tuple(a / (2 * residual) for a in psi)
             return None, kernel, IntegerInfeasible(u, M, b)
-    z0 = tuple(sum(U[row][j] * w[j] for j in range(k)) for row in range(k))
+    z0 = tuple(sum(U[j][i] * w[j] for j in range(k)) for i in range(k))
     return z0, kernel, None
 
 

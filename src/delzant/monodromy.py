@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import lattice
@@ -57,7 +57,7 @@ def mulclose(generators, cap: int) -> MatrixGroup:
     _check_cap(cap)
     gens = []
     for g in generators:
-        g = tuple(tuple(int(c) for c in row) for row in g)
+        g = tuple(tuple(map(operator.index, row)) for row in g)
         if g not in gens:
             gens.append(g)
     n = len(gens[0]) if gens else 0
@@ -317,11 +317,8 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
     for images in itertools.permutations(I_y):
         perm = tuple(zip(I_x, images))
         fixed_cols = {i: j for i, j in perm}
-        rows, rhs = _ambient_system(poly, lx, ly, h2, free, fixed_cols, N)
-        z0, kernel, cert = lattice.solve_integer(rows, rhs) if rows else (
-            (0,) * (f * N), [tuple(lattice.identity(f * N)[i]) for i in range(f * N)],
-            None,
-        )
+        rows, rhs = _ambient_system(lx, ly, h2, free, fixed_cols, N)
+        z0, kernel, cert = lattice.solve_integer(rows, rhs)
         if cert is not None:
             certificates.append({"kind": "linear", "perm": perm, **cert.to_json()})
             continue
@@ -336,23 +333,7 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
                 lattice.dot(row, z0) == b for row, b in zip(rows, rhs)
             ), "the identity must solve its own constraint system"
         # determinant condition det(induced) = +-1, i.e. det B(t) = +-det S
-        B0, Bk = _induced_blocks(xi, J, z0, kernel, free, fixed_cols, N)
-        detpoly = _poly_det(
-            [
-                [
-                    _poly_add(
-                        {(): B0[r][c]} if B0[r][c] else {},
-                        {
-                            (k,): Bk[k][r][c]
-                            for k in range(len(Bk))
-                            if Bk[k][r][c]
-                        },
-                    )
-                    for c in range(n)
-                ]
-                for r in range(n)
-            ]
-        )
+        detpoly = _poly_det(_induced_family(xi, J, z0, kernel, free, fixed_cols, N))
         degree = max((len(m) for m in detpoly), default=0)
         found = []
         # a box too large to sweep still reports its centre point
@@ -368,23 +349,15 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
         if degree <= 1:
             g0 = detpoly.get((), 0)
             gs = [detpoly.get((k,), 0) for k in range(len(kernel))]
-            gcd_all = 0
-            for g in gs:
-                gcd_all = math.gcd(gcd_all, abs(g))
-            solvable = False
-            for c in (det_S, -det_S):
-                if gcd_all == 0:
-                    solvable = solvable or (g0 == c)
-                else:
-                    solvable = solvable or ((c - g0) % gcd_all == 0)
-            if not solvable:
+            g = math.gcd(*gs)
+            if all((c - g0) % g if g else c != g0 for c in (det_S, -det_S)):
                 certificates.append(
                     {
                         "kind": "determinant",
                         "perm": perm,
                         "det_affine": {"const": g0, "coeffs": gs},
                         "targets": [det_S, -det_S],
-                        "gcd": gcd_all,
+                        "gcd": g,
                     }
                 )
                 continue
@@ -397,52 +370,46 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
     return AmbientOutcome("infeasible", (), tuple(certificates), bound)
 
 
-def _scale_to_int(coeff_rows, rhs_fracs):
-    """Clear denominators row by row, returning integer rows."""
-    out_rows, out_rhs = [], []
-    for row, b in zip(coeff_rows, rhs_fracs):
-        den = b.denominator
-        for c in row:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [int(c * den) for c in row]
-        bi = int(b * den)
-        if any(ints) or bi:
-            out_rows.append(tuple(ints))
-            out_rhs.append(bi)
-    return out_rows, out_rhs
+def _scaled(nums, dens):
+    """The rationals nums[i] / dens[i] times the lcm of their reduced
+    denominators, as ints."""
+    den = math.lcm(*(c // math.gcd(a, c) for a, c in zip(nums, dens)))
+    return [a * den // c for a, c in zip(nums, dens)]
 
 
-def _ambient_system(poly, lx, ly, h2, free, fixed_cols, N):
-    """Integer rows/rhs of the affine system in the free column entries."""
-    f = len(free)
-    slot = {i: s for s, i in enumerate(free)}
-    coeff_rows, rhs = [], []
+def _ambient_system(lx, ly, h2, free, fixed_cols, N):
+    """Integer rows/rhs of the affine system in the free column entries.
 
-    def var(i, j):
-        return slot[i] * N + j
+    Each free column i has a Maslov row and two area rows, one for the
+    rational parts a/c and one for the sqrt(D) parts b/c of the distances,
+    each scaled by the lcm of its reduced denominators.  A row that
+    vanishes together with its rhs is dropped.
+    """
+    width = len(free) * N
+    rows, rhs = [], []
 
-    for i in free:
-        row = [Fraction(0)] * (f * N)
-        for j in range(N):
-            row[var(i, j)] = Fraction(1)
-        coeff_rows.append(row)
-        rhs.append(Fraction(1))
-        for part in ("rat", "quad"):
-            row = [Fraction(0)] * (f * N)
-            for j in range(N):
-                row[var(i, j)] = getattr(ly[j], part)
-            coeff_rows.append(row)
-            rhs.append(getattr(lx[i], part))
+    def add(row, b):
+        if any(row) or b:
+            rows.append(tuple(row))
+            rhs.append(b)
+
+    for s, i in enumerate(free):
+        block = slice(s * N, s * N + N)
+        row = [0] * width
+        row[block] = [1] * N
+        add(row, 1)
+        values = (*ly, lx[i])
+        for nums in ([v.a for v in values], [v.b for v in values]):
+            *entries, b = _scaled(nums, [v.c for v in values])
+            row = [0] * width
+            row[block] = entries
+            add(row, b)
     for r in h2:
         for j in range(N):
-            row = [Fraction(0)] * (f * N)
-            for i in free:
-                if r[i]:
-                    row[var(i, j)] = Fraction(r[i])
-            fixed_part = sum(r[i] for i, tgt in fixed_cols.items() if tgt == j)
-            coeff_rows.append(row)
-            rhs.append(Fraction(r[j] - fixed_part))
-    return _scale_to_int(coeff_rows, rhs)
+            row = [0] * width
+            row[j::N] = [r[i] for i in free]
+            add(row, r[j] - sum(r[i] for i, tgt in fixed_cols.items() if tgt == j))
+    return rows, rhs
 
 
 def _assemble(z0, kernel, t, free, fixed_cols, N):
@@ -473,14 +440,21 @@ def _induced_frame(xi, n, N):
     raise NotReductionType("facet normals do not span R^n")
 
 
-def _induced_blocks(xi, J, z0, kernel, free, fixed_cols, N):
-    """(Xi * A)[:, J] as an affine family B0 + sum t_k Bk."""
+def _induced_family(xi, J, z0, kernel, free, fixed_cols, N):
+    """(Xi A(t))[:, J] = B0 + sum t_k Bk for A(t) the matrix of z0 + sum
+    t_k kernel_k, as the n x n matrix of sparse polynomials
+    {(): B0[r][c], (k,): Bk[r][c]} that `_poly_det` takes."""
 
-    def block(A):
-        return _columns(lattice.mat_mul(xi, A), J)
+    def block(z, fixed):
+        return _columns(lattice.mat_mul(xi, _assemble(z, (), (), free, fixed, N)), J)
 
-    B0 = block(_assemble(z0, (), (), free, fixed_cols, N))
-    return B0, [block(_assemble(k, (), (), free, {}, N)) for k in kernel]
+    blocks = [((), block(z0, fixed_cols))]
+    blocks += [((k,), block(z, {})) for k, z in enumerate(kernel)]
+    n = len(J)
+    return [
+        [{mono: B[r][c] for mono, B in blocks if B[r][c]} for c in range(n)]
+        for r in range(n)
+    ]
 
 
 def _induced_matrix(xi, A, J, adj, det):
@@ -529,7 +503,7 @@ class AmbientReport:
 
 def check_ambient(poly: DelzantPolytope, x, y, A) -> AmbientReport:
     """Evaluate the four ambient constraints independently for a given A."""
-    A = tuple(tuple(int(c) for c in row) for row in A)
+    A = tuple(tuple(map(operator.index, row)) for row in A)
     N = poly.nfacets
     if len(A) != N or any(len(r) != N for r in A):
         raise DimensionMismatch(f"expected a {N}x{N} matrix")

@@ -17,7 +17,6 @@ from .errors import (
     InfeasibleEmpty,
     NotDelzant,
     NotInterior,
-    NotUnimodular,
     ValidationError,
 )
 from .lattice import ExactScalar, GammaLattice, ZERO
@@ -230,15 +229,14 @@ class DelzantPolytope:
         """Image polytope under x -> Mx + t for unimodular M.
 
         Normals become M^-T xi, offsets lambda - <t, M^-T xi>, so distances
-        are preserved: ell(x) = ell'(Mx + t).
+        are preserved: ell(x) = ell'(Mx + t).  An M with det other than +-1
+        raises NotUnimodular, and a non-integer entry TypeError.
         """
-        M = tuple(tuple(int(c) for c in row) for row in M)
-        if lattice.mat_det(M) not in (1, -1):
-            raise NotUnimodular("affine transform requires |det M| = 1")
+        M = tuple(tuple(map(operator.index, row)) for row in M)
+        Minv_t = lattice.transpose(lattice.unimodular_inverse(M))
         if t is None:
             t = (ZERO,) * self.dim
         t = as_point(t)
-        Minv_t = lattice.transpose(lattice.unimodular_inverse(M))
         facets = []
         for f in self.facets:
             normal = lattice.mat_vec(Minv_t, f.normal)

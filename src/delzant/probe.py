@@ -9,6 +9,7 @@ involution I + (xi' - xi) v^T is well defined.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import lattice
@@ -196,7 +197,7 @@ def shoot(poly: DelzantPolytope, x, v) -> SymmetricProbe:
     +-1 with v (integral transversality).
     """
     x = poly._require_interior(x)
-    v = tuple(int(c) for c in v)
+    v = tuple(map(operator.index, v))
     if not lattice.is_primitive(v):
         raise NotPrimitive(f"direction {v} is not primitive")
     d = _Direction(v, tuple(f.normal for f in poly.facets))

@@ -10,6 +10,7 @@ which is exactly the condition for the reduced polytope to be Delzant.
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ class AffineSlice:
 
     def __init__(self, base, dirs):
         self.base = as_point(base)
-        dirs = [tuple(int(c) for c in d) for d in dirs]
+        dirs = [tuple(map(operator.index, d)) for d in dirs]
         if not dirs:
             raise ValueError("a slice needs at least one direction")
         n = len(self.base)

@@ -1,11 +1,13 @@
 """The integer ambient kernels against the Fraction references they replace.
 
-`lattice.adjugate`, `lattice.unimodular_inverse`, `monodromy._induced_matrix`
-and `monodromy._poly_hits` work in ints only.  The references kept here are
-the Fraction Gauss-Jordan inverse, the Fraction induced map (S^-1 applied
-to (Xi A)[:, J], integrality by denominator, consistency on every column)
-and the per-point sweep of the parameter box; `solve_ambient` and
-`check_ambient` must give identical outputs with either set.
+`lattice.adjugate`, `lattice.unimodular_inverse`, `monodromy._ambient_system`,
+`monodromy._induced_matrix` and `monodromy._poly_hits` work in ints only.
+The references kept here are the Fraction Gauss-Jordan inverse, the
+Fraction constraint rows (built from `rat` and `quad`, then scaled to
+ints), the Fraction induced map (S^-1 applied to (Xi A)[:, J], integrality
+by denominator, consistency on every column) and the per-point sweep of
+the parameter box; `solve_ambient` and `check_ambient` must give identical
+outputs with either set.
 """
 
 import itertools
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from delzant import DelzantPolytope, lattice, monodromy, preset
 from delzant.errors import NotUnimodular
+from delzant.lattice import scalar
 from delzant.monodromy import check_ambient, solve_ambient
 from delzant.spaces import oracle_orbit
 from test_polytope import sample_interior
@@ -115,10 +118,60 @@ def product_hits(p, k, bound, targets):
     ]
 
 
+def scale_to_int(coeff_rows, rhs_fracs):
+    """Clear denominators row by row, returning integer rows."""
+    out_rows, out_rhs = [], []
+    for row, b in zip(coeff_rows, rhs_fracs):
+        den = b.denominator
+        for c in row:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        ints = [int(c * den) for c in row]
+        bi = int(b * den)
+        if any(ints) or bi:
+            out_rows.append(tuple(ints))
+            out_rhs.append(bi)
+    return out_rows, out_rhs
+
+
+def fraction_ambient_system(lx, ly, h2, free, fixed_cols, N):
+    """The ambient rows built over Fractions from `rat` and `quad`, then
+    scaled to ints."""
+    f = len(free)
+    slot = {i: s for s, i in enumerate(free)}
+    coeff_rows, rhs = [], []
+
+    def var(i, j):
+        return slot[i] * N + j
+
+    for i in free:
+        row = [Fraction(0)] * (f * N)
+        for j in range(N):
+            row[var(i, j)] = Fraction(1)
+        coeff_rows.append(row)
+        rhs.append(Fraction(1))
+        for part in ("rat", "quad"):
+            row = [Fraction(0)] * (f * N)
+            for j in range(N):
+                row[var(i, j)] = getattr(ly[j], part)
+            coeff_rows.append(row)
+            rhs.append(getattr(lx[i], part))
+    for r in h2:
+        for j in range(N):
+            row = [Fraction(0)] * (f * N)
+            for i in free:
+                if r[i]:
+                    row[var(i, j)] = Fraction(r[i])
+            fixed_part = sum(r[i] for i, tgt in fixed_cols.items() if tgt == j)
+            coeff_rows.append(row)
+            rhs.append(Fraction(r[j] - fixed_part))
+    return scale_to_int(coeff_rows, rhs)
+
+
 def reference(monkeypatch, fn, *args):
     with monkeypatch.context() as m:
         m.setattr(monodromy, "_induced_matrix", fraction_induced_matrix)
         m.setattr(monodromy, "_poly_hits", product_hits)
+        m.setattr(monodromy, "_ambient_system", fraction_ambient_system)
         return fn(*args)
 
 
@@ -176,6 +229,17 @@ def _cases():
     for x, y in (((0, 0), (0, 0)), ((F(1, 2), F(-1, 2)), (F(1, 2), F(-1, 2))),
                  ((1, 0), (1, 0))):
         cases.append((TRAPEZOID, x, y))
+    # Q(sqrt 2) pairs, whose sqrt(2) parts give the second area row
+    r2 = scalar(-1, 1, 2)  # sqrt(2) - 1
+    cases += [
+        (cn3, (1, 2, r2 + 2), (r2 + 2, 1, 2)),
+        (cn3, (r2 + 2, r2 + 2, 3), (3, r2 + 2, r2 + 2)),
+        (cn3, (1, 2, r2 + 2), (1, 2, 2 * r2 + 3)),  # linear certificate
+        (cn3, (1, 2, r2 + 2), (1, 2, scalar(1, F(1, 2), 2))),  # determinant one
+        (preset("cp2"), (r2, F(-1, 2)), (F(-1, 2), r2)),
+        (preset("s2s2_monotone"), (r2, 0), (0, -r2)),
+        (HEXAGON, (r2, 0), (0, r2)),
+    ]
     return cases
 
 
@@ -188,6 +252,26 @@ def test_hexagon_frame_has_det_minus_2():
     det, J, adj = monodromy._induced_frame(xi, 2, HEXAGON.nfacets)
     assert det == -2 and J == (0, 1)
     assert adj == cofactor_adjugate([list(r) for r in ((-1, -1), (-1, 1))])
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_ambient_system_matches_fraction_reference(case):
+    """Equal rows and rhs on every distinguished bijection of the case."""
+    poly, x, y = case
+    lx, ly = poly.ell(x), poly.ell(y)
+    I_x = [i for i, v in enumerate(lx) if v == min(lx)]
+    I_y = [i for i, v in enumerate(ly) if v == min(ly)]
+    free = [i for i in range(poly.nfacets) if i not in I_x]
+    _, h2 = poly.boundary_data()
+    for images in itertools.permutations(I_y, len(I_x)):
+        args = (lx, ly, h2, free, dict(zip(I_x, images)), poly.nfacets)
+        assert monodromy._ambient_system(*args) == fraction_ambient_system(*args)
+
+
+def test_sqrt2_cases_have_sqrt2_area_rows():
+    """The sqrt(2) area row of a free column is nonzero when some distance
+    at y has a sqrt(2) part; seven cases have one."""
+    assert sum(any(v.b for v in p.ell(y)) for p, _, y in CASES) == 7
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)

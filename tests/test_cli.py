@@ -270,6 +270,15 @@ class TestDispatch:
         data = json.loads(out)
         assert data["reduced"]["dim"] == 2
 
+    @pytest.mark.parametrize("bad", [
+        '{"base": [1, 1, 0], "dirs": [[0, 0, 1.9], [-1, 1, 0]]}',
+        '{"base": [1, 0.5, 0], "dirs": [[0, 0, 1], [-1, 1, 0]]}',
+    ])
+    def test_reduce_float_slice_exits_2(self, capsys, bad):
+        code, out, err = run(capsys, "reduce", "preset:c2_x_ts1", "--slice", bad)
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "ParseError"
+
     def test_reduce_bad_slices_never_traceback(self, capsys):
         for bad in (
             '{"base": [1, 1], "dirs": [[1, 0], [2, 0]]}',  # dependent dirs

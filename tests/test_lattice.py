@@ -11,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delzant import lattice
-from delzant.errors import DimensionMismatch, NotPrimitive, ZeroVector
+from delzant.errors import DimensionMismatch, ZeroVector
 from delzant.lattice import (
     ExactScalar,
     GammaLattice,
-    extend_to_basis,
     fm_witness,
     generates_full_lattice,
     hnf_basis,
@@ -225,17 +224,6 @@ class TestHermite:
             for v in brute_kernel_vectors(M):
                 assert in_span(basis, v), (M, basis, v)
 
-    def test_extend_to_basis(self):
-        for v in ((1, 0), (2, 3), (1, 1, -1), (3, 5, 7), (0, 1, 0, 0)):
-            B = extend_to_basis(v)
-            assert mat_det(B) in (1, -1)
-            assert tuple(row[0] for row in B) == v
-            assert extend_to_basis(v) == B  # deterministic
-
-    def test_extend_requires_primitive(self):
-        with pytest.raises(NotPrimitive):
-            extend_to_basis((2, 4))
-
     def test_generates_full_lattice(self):
         assert generates_full_lattice([(1, 0), (0, 1)])
         assert not generates_full_lattice([(2, 0), (0, 1)])
@@ -403,3 +391,123 @@ def test_dot_edge_cases_and_op_count(monkeypatch):
     # n - 1 additions for n terms, none of them starting from 0
     assert len(adds) == 2
     assert lattice.dot(u[:1], (4,)) == scalar(4, 4, 2) and len(adds) == 2
+
+
+# -- the column-form Hermite routines that row_hnf replaced ----------------------
+
+
+def column_hnf(M):
+    """(H, U) with M*U = H lower echelon, by the row form of the transpose."""
+    Ht, Ut = row_hnf(transpose(M))
+    return transpose(Ht), transpose(Ut)
+
+
+def column_hnf_basis(vectors):
+    vecs = [v for v in vectors if any(v)]
+    if not vecs:
+        return []
+    H, _ = column_hnf(transpose(tuple(vecs)))
+    return [c for c in transpose(H) if any(c)]
+
+
+def column_kernel_lattice(M):
+    if not M or not M[0]:
+        n = len(M[0]) if M else 0
+        return [tuple(lattice.identity(n)[i]) for i in range(n)]
+    H, U = column_hnf(M)
+    ker = [u for u, h in zip(transpose(U), transpose(H)) if not any(h)]
+    return column_hnf_basis(ker)
+
+
+def column_solve_integer(M, b):
+    m = len(M)
+    k = len(M[0]) if m else 0
+    if m == 0 or k == 0:
+        kernel = [tuple(lattice.identity(k)[i]) for i in range(k)]
+        if any(b):
+            r = next(i for i, v in enumerate(b) if v)
+            u = tuple(Fraction(int(i == r), 2 * b[r]) for i in range(m))
+            return None, kernel, lattice.IntegerInfeasible(u, M, b)
+        return (0,) * k, kernel, None
+    H, U = column_hnf(M)
+    cols = transpose(H)
+    kernel = [tuple(u) for u, h in zip(transpose(U), cols) if not any(h)]
+    pivots = []
+    for j, col in enumerate(cols):
+        r = next((i for i, v in enumerate(col) if v), None)
+        if r is not None:
+            pivots.append((r, j))
+    w = [0] * k
+    funcs = {}
+    for r, j in pivots:
+        p = H[r][j]
+        val = Fraction(b[r])
+        func = [Fraction(0)] * m
+        func[r] = Fraction(1)
+        for r2, j2 in pivots:
+            if j2 >= j:
+                break
+            h = H[r][j2]
+            if h:
+                val -= h * w[j2]
+                func = [a - h * c for a, c in zip(func, funcs[j2])]
+        val = val / p
+        funcs[j] = tuple(f / p for f in func)
+        if val.denominator != 1:
+            return None, kernel, lattice.IntegerInfeasible(funcs[j], M, b)
+        w[j] = int(val)
+    pivot_rows = {r for r, _ in pivots}
+    for r in range(m):
+        if r in pivot_rows:
+            continue
+        residual = Fraction(b[r]) - sum(Fraction(H[r][j] * w[j]) for _, j in pivots)
+        if residual:
+            psi = [Fraction(0)] * m
+            psi[r] = Fraction(1)
+            for _, j in pivots:
+                if H[r][j]:
+                    psi = [a - H[r][j] * c for a, c in zip(psi, funcs[j])]
+            u = tuple(a / (2 * residual) for a in psi)
+            return None, kernel, lattice.IntegerInfeasible(u, M, b)
+    z0 = tuple(sum(U[row][j] * w[j] for j in range(k)) for row in range(k))
+    return z0, kernel, None
+
+
+@st.composite
+def matrices_with_zeros(draw):
+    """m x k integer matrices, m, k >= 0, some with zero rows and columns."""
+    m, k = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    M = [draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k)) for _ in range(m)]
+    if m and draw(st.booleans()):
+        M[draw(st.integers(0, m - 1))] = [0] * k
+    if k and draw(st.booleans()):
+        c = draw(st.integers(0, k - 1))
+        for row in M:
+            row[c] = 0
+    return tuple(map(tuple, M))
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices_with_zeros())
+def test_row_form_lattice_matches_column_form(M):
+    assert hnf_basis(M) == column_hnf_basis(M)
+    assert hnf_basis(list(M)) == column_hnf_basis(M)
+    assert kernel_lattice(M) == column_kernel_lattice(M)
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices_with_zeros(), st.data())
+def test_row_form_solve_matches_column_form(M, data):
+    k = len(M[0]) if M else 0
+    if data.draw(st.booleans()):
+        b = mat_vec(M, data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)))
+    else:
+        b = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=len(M), max_size=len(M))))
+    z0, kernel, cert = solve_integer(M, b)
+    ref_z0, ref_kernel, ref_cert = column_solve_integer(M, b)
+    assert (z0, kernel) == (ref_z0, ref_kernel)
+    if ref_cert is None:
+        assert cert is None
+    else:
+        assert cert.u == ref_cert.u and cert.to_json() == ref_cert.to_json()
+        assert cert.verify()

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delzant import DelzantPolytope, as_point, preset, scalar
+from delzant import DelzantPolytope, as_point, monodromy, preset, probe, scalar
 from delzant.errors import (
     InfeasibleEmpty,
     NotDelzant,
@@ -19,6 +19,7 @@ from delzant.errors import (
 )
 from delzant.lattice import ExactScalar, GammaLattice, mat_vec
 from delzant.polytope import in_window
+from delzant.reduction import AffineSlice
 
 
 def sample_interior(poly, rng, box=3, tries=200):
@@ -64,6 +65,19 @@ class TestConstruction:
         with pytest.raises(TypeError):
             DelzantPolytope(2.9, facets)
         assert DelzantPolytope(2, facets).facets[0].normal == (1, 0)
+
+
+# int() would truncate each float below to a different integer input
+@pytest.mark.parametrize("call", [
+    lambda: probe.shoot(preset("cn(2)"), (1, 3), (1.7, -1.2)),
+    lambda: AffineSlice((1, 1, 0), [(0, 0, 1.9), (-1, 1, 0)]),
+    lambda: preset("cp2").apply_affine(((1.5, 0), (0, 1))),
+    lambda: monodromy.mulclose([((0.5, 1), (1, 0))], 8),
+    lambda: monodromy.check_ambient(preset("cn(2)"), (1, 2), (1, 2), ((1.2, 0), (0, 1))),
+], ids=["shoot", "slice_dirs", "apply_affine", "mulclose", "check_ambient"])
+def test_float_integer_inputs_rejected(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_in_window_closed_bounds_and_open_sides():
