@@ -176,7 +176,10 @@ def _cmd_probes(args):
 def _cmd_partner(args):
     poly = parse_polytope(args.polytope)
     x = parse_point(args.point, poly.field_disc)
-    v = tuple(int(c) for c in args.dir.split(","))
+    try:
+        v = tuple(int(c) for c in args.dir.split(","))
+    except ValueError:
+        raise ParseError(f"bad direction {args.dir!r}, expected integers a,b,...")
     sigma = probe.shoot(poly, x, v)
     y = probe.partner(sigma, x)
     return 0, {

@@ -97,7 +97,9 @@ def edge_key(source, target, direction, entry_facet, exit_facet) -> tuple:
     return (frozenset((source, target)), direction, entry_facet, exit_facet)
 
 
-def explore(poly: DelzantPolytope, x, params: OrbitParams) -> OrbitGraph:
+def explore(
+    poly: DelzantPolytope, x, params: OrbitParams, *, target=None
+) -> OrbitGraph:
     """BFS closure of x under partner moves of probes up to max_norm.
 
     Deterministic: probes are generated in canonical direction order and
@@ -105,19 +107,27 @@ def explore(poly: DelzantPolytope, x, params: OrbitParams) -> OrbitGraph:
     connect stored points only, but parent chains may run through the
     one-shell frontier outside the window.  Every reached point carries
     its distance vector, from which `ProbeSolver` finds its probes.
+
+    With a `target`, the search stops at the point it looks for: it returns
+    as soon as the target is reached (its parent recorded), with the graph
+    found so far marked `truncated`.  BFS fixes a point's parent chain when
+    it first reaches the point, so `path_to(target)` is that of the full
+    search; a target never reached leaves the full graph.
     """
     _check_window(poly, params)
-    root = poly._require_interior(x)
+    root, ell_root = poly._interior_ell(x)
     if not params.in_window(root):
         raise NotInterior(f"root {point_str(root)} lies outside the window")
-    solver = probe_mod.ProbeSolver(poly, params.max_norm)
+    if target is not None:
+        target = as_point(target)
+    solver = probe_mod.solver(poly, params.max_norm)
     nodes = [root]
     edges = []
     edge_keys = set()
     parents = {}
     # point -> [distances, inside the window, depth, queued]; the depth is
     # that of the first discovery
-    records = {root: [poly.ell(root), True, 0, True]}
+    records = {root: [ell_root, True, 0, True]}
     truncated = False
     queue = deque([root])
     while queue:
@@ -141,6 +151,8 @@ def explore(poly: DelzantPolytope, x, params: OrbitParams) -> OrbitGraph:
                 rec = records[v] = [ell_v, inside, depth_u + 1, inside]
                 move = _move(solver, u, v, hit)
                 parents[v] = (u, move)
+                if target is not None and v == target:
+                    return OrbitGraph(root, nodes, edges, True, parents)
                 if inside:
                     nodes.append(v)
                     queue.append(v)
@@ -219,6 +231,11 @@ def decide(poly: DelzantPolytope, x, y, params: OrbitParams) -> Verdict:
     for polytopes that lift to an orthant).  A connecting probe path gives Equivalent.  Otherwise the
     ambient integer solver may certify Distinct; absence of a path within
     the caps is never conclusive, hence Unknown.
+
+    Each path search stops at the point it looks for (`explore` with
+    `target`), so a search that finds its target leaves a partial graph
+    marked `truncated`.  One that never finds it is the full graph, so
+    verdicts and paths are those of two full searches and the meet scan.
     """
     _check_window(poly, params)
     x = poly._require_interior(x)
@@ -250,10 +267,10 @@ def decide(poly: DelzantPolytope, x, y, params: OrbitParams) -> Verdict:
                 "reduction_type": reduction_type,
             },
         )
-    graph_x = explore(poly, x, params)
+    graph_x = explore(poly, x, params, target=y)
     if y in graph_x.parents:
         return Verdict("equivalent", path=tuple(graph_x.path_to(y)))
-    graph_y = explore(poly, y, params)
+    graph_y = explore(poly, y, params, target=x)
     if x in graph_y.parents:
         backward = [m.reversed() for m in reversed(graph_y.path_to(x))]
         return Verdict("equivalent", path=tuple(backward))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from . import lattice
 from .errors import (
     DimensionMismatch,
@@ -47,14 +47,34 @@ def point_str(x):
     return "(" + ", ".join(str(c) for c in x) + ")"
 
 
+def _distance(x, row, offset):
+    """<x, normal> + offset from the sparse row ((j, normal_j), ...) of the
+    nonzero normal entries, so zero entries cost nothing.  Entries +-1 are
+    multiplied rather than added: the perfbench scalar microkernels time the
+    products they find here, and an explore makes no others."""
+    total = offset
+    for j, k in row:
+        total = total + x[j] * k
+    return total
+
+
 @dataclass(frozen=True)
 class Facet:
     normal: tuple  # primitive integer vector, inward
     offset: ExactScalar
+    row: tuple = field(init=False, repr=False, compare=False)  # sparse normal
+
+    def __post_init__(self):
+        row = tuple((j, k) for j, k in enumerate(self.normal) if k)
+        object.__setattr__(self, "row", row)
 
     def support(self, x):
         """Exact distance <x, normal> + offset of x to this facet."""
-        return lattice.dot(x, self.normal) + self.offset
+        if len(x) != len(self.normal):
+            raise DimensionMismatch(
+                f"dot of lengths {len(x)} and {len(self.normal)}"
+            )
+        return _distance(x, self.row, self.offset)
 
 
 @dataclass(frozen=True)
@@ -130,6 +150,10 @@ class DelzantPolytope:
         if witness is None:
             raise InfeasibleEmpty("the polytope has empty interior")
         self._witness = witness
+        # per-instance memos: `probe.solver` keeps one ProbeSolver per
+        # max_norm here, `normals_span` its answer
+        self._solvers = {}
+        self._span = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -142,7 +166,7 @@ class DelzantPolytope:
         x = as_point(x)
         if len(x) != self.dim:
             raise DimensionMismatch(f"point of length {len(x)} in dim {self.dim}")
-        return tuple(f.support(x) for f in self.facets)
+        return tuple([_distance(x, f.row, f.offset) for f in self.facets])
 
     def interior_point(self):
         return self._witness
@@ -151,22 +175,27 @@ class DelzantPolytope:
         return all(v.sign() > 0 for v in self.ell(x))
 
     def _require_interior(self, x):
+        return self._interior_ell(x)[0]
+
+    def _interior_ell(self, x):
+        """(x as a point, l(x)); NotInterior unless x is in the open polytope."""
         x = as_point(x)
-        if not self.is_interior(x):
+        values = self.ell(x)
+        if not all(v.sign() > 0 for v in values):
             raise NotInterior(f"{point_str(x)} is not in the open polytope")
-        return x
+        return x, values
 
     def normals_span(self) -> bool:
         """True iff the facet normals span R^n (reduction-type polytope)."""
-        vecs = [f.normal for f in self.facets]
-        basis = lattice.hnf_basis(vecs)
-        return len(basis) == self.dim
+        if self._span is None:
+            basis = lattice.hnf_basis([f.normal for f in self.facets])
+            self._span = len(basis) == self.dim
+        return self._span
 
     # -- invariants ------------------------------------------------------------
 
     def invariants(self, x) -> ChekanovInvariants:
-        x = self._require_interior(x)
-        values = self.ell(x)
+        values = self._interior_ell(x)[1]
         d = min(values)
         diffs = [v - d for v in values]
         count = sum(1 for v in diffs if not v)
@@ -180,8 +209,7 @@ class DelzantPolytope:
         at 0 equals the displacement energy on an open dense set of base
         points (standing assumption for non-exact cases).
         """
-        x = self._require_interior(x)
-        values = self.ell(x)
+        values = self._interior_ell(x)[1]
         d = min(values)
         active = tuple(i for i, v in enumerate(values) if v == d)
         return d, active

@@ -128,6 +128,8 @@ class ProbeSolver:
     """
 
     def __init__(self, poly: DelzantPolytope, max_norm: int):
+        if max_norm < 1:
+            raise ValueError(f"max_norm must be >= 1, got {max_norm}")
         self.facets = poly.facets
         normals = tuple(f.normal for f in poly.facets)
         directions = canonical_directions(poly.dim, max_norm)
@@ -177,6 +179,15 @@ class ProbeSolver:
         return matrix
 
 
+def solver(poly: DelzantPolytope, max_norm: int) -> ProbeSolver:
+    """The ProbeSolver of poly up to max_norm, built once per polytope and cap."""
+    max_norm = operator.index(max_norm)
+    cached = poly._solvers.get(max_norm)
+    if cached is None:
+        cached = poly._solvers[max_norm] = ProbeSolver(poly, max_norm)
+    return cached
+
+
 def _make_probe(facets, x, v, t_minus, entry, t_plus, exit_):
     return SymmetricProbe(
         direction=v,
@@ -196,12 +207,11 @@ def shoot(poly: DelzantPolytope, x, v) -> SymmetricProbe:
     (else the endpoint lies on a lower-dimensional face) and must pair to
     +-1 with v (integral transversality).
     """
-    x = poly._require_interior(x)
+    x, ell = poly._interior_ell(x)
     v = tuple(map(operator.index, v))
     if not lattice.is_primitive(v):
         raise NotPrimitive(f"direction {v} is not primitive")
     d = _Direction(v, tuple(f.normal for f in poly.facets))
-    ell = poly.ell(x)
 
     def end(side, label):
         if not side:
@@ -275,6 +285,6 @@ def canonical_directions(dim: int, max_norm: int):
 
 def enumerate_probes(poly: DelzantPolytope, x, max_norm: int):
     """All symmetric probes through x with direction sup-norm <= max_norm."""
-    x = poly._require_interior(x)
-    solver = ProbeSolver(poly, max_norm)
-    return [solver.probe(x, hit) for hit in solver.hits(poly.ell(x))]
+    x, ell = poly._interior_ell(x)
+    probe_solver = solver(poly, max_norm)
+    return [probe_solver.probe(x, hit) for hit in probe_solver.hits(ell)]

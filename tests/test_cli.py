@@ -253,6 +253,22 @@ class TestDispatch:
         assert code == 1
         assert json.loads(out)["error"] == "UnboundedRay"
 
+    @pytest.mark.parametrize("bad", ["1.7,-1", "a,b"])
+    def test_partner_bad_direction_exits_2(self, capsys, bad):
+        code, out, err = run(
+            capsys, "partner", "preset:cn(2)", "--point", "1,3", "--dir", bad
+        )
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("command", ["probes", "orbit"])
+    def test_max_norm_below_one_exits_2(self, capsys, command):
+        code, out, err = run(
+            capsys, command, "preset:cn(2)", "--point", "1,3", "--max-norm", "0"
+        )
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "ValueError"
+
     def test_probes(self, capsys):
         code, out, _ = run(
             capsys, "probes", "preset:s2s2_monotone", "--point", "0,0",

@@ -5,8 +5,20 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from delzant import OrbitParams, as_point, decide, explore, lattice, preset, scalar
+from delzant import (
+    OrbitParams,
+    Verdict,
+    as_point,
+    decide,
+    explore,
+    lattice,
+    monodromy,
+    preset,
+    scalar,
+)
 from delzant.errors import (
     DimensionMismatch,
     HitsLowerFace,
@@ -400,3 +412,194 @@ def test_edge_key_is_symmetric():
     move = ProbeMove(sigma, as_point((1, 3)), as_point((3, 1)), involution(sigma))
     assert move.key == move.reversed().key
     assert move.key == edge_key(move.target, move.source, (1, -1), 0, 1)
+
+
+# -- the decide that ran two full explores before its meet scan ----------------
+
+
+def reference_decide(poly, x, y, params):
+    """decide() with full explores of both sides, then the meet scan."""
+    x = poly._require_interior(x)
+    y = poly._require_interior(y)
+    if x == y:
+        return Verdict("equivalent", path=())
+    reduction_type = poly.normals_span()
+    inv_x = poly.invariants(x)
+    inv_y = poly.invariants(y)
+    if (inv_x.d, inv_x.count, inv_x.gamma) != (inv_y.d, inv_y.count, inv_y.gamma):
+        parts = []
+        if inv_x.d != inv_y.d:
+            parts.append("d")
+        if inv_x.count != inv_y.count:
+            parts.append("#_d")
+        if inv_x.gamma != inv_y.gamma:
+            parts.append("Gamma")
+        note = "" if reduction_type else (
+            " (normals do not span R^n: the invariants are not a proven"
+            " obstruction for this polytope)"
+        )
+        return Verdict(
+            "distinct",
+            reason=f"Chekanov invariants differ in {', '.join(parts)}{note}",
+            certificate={
+                "x": inv_x.to_json(),
+                "y": inv_y.to_json(),
+                "reduction_type": reduction_type,
+            },
+        )
+    graph_x = explore(poly, x, params)
+    if y in graph_x.parents:
+        return Verdict("equivalent", path=tuple(graph_x.path_to(y)))
+    graph_y = explore(poly, y, params)
+    if x in graph_y.parents:
+        backward = [m.reversed() for m in reversed(graph_y.path_to(x))]
+        return Verdict("equivalent", path=tuple(backward))
+    meet = None
+    for p in graph_x.parents:
+        if p in graph_y.parents:
+            meet = p
+            break
+    if meet is not None:
+        forward = graph_x.path_to(meet)
+        backward = [m.reversed() for m in reversed(graph_y.path_to(meet))]
+        return Verdict("equivalent", path=tuple(forward + backward))
+    if reduction_type:
+        outcome = monodromy.solve_ambient(poly, x, y, bound=3)
+        if outcome.kind == "infeasible":
+            return Verdict(
+                "distinct",
+                reason="ambient monodromy constraints are integer-infeasible",
+                certificate=outcome,
+            )
+        return Verdict(
+            "unknown",
+            reason="no probe path within caps; ambient constraints are solvable",
+        )
+    return Verdict(
+        "unknown",
+        reason=(
+            "no probe path within caps; ambient solver unavailable"
+            " (normals do not span R^n)"
+        ),
+    )
+
+
+def reference_stage(poly, x, y, params):
+    """Which full search connects x and y: "x", "y", "meet" or None."""
+    graph_x = explore(poly, x, params)
+    if as_point(y) in graph_x.parents:
+        return "x"
+    graph_y = explore(poly, y, params)
+    if as_point(x) in graph_y.parents:
+        return "y"
+    if any(p in graph_y.parents for p in graph_x.parents):
+        return "meet"
+    return None
+
+
+def assert_decide_matches_reference(poly, x, y, params):
+    verdict = decide(poly, x, y, params)
+    assert verdict.to_json() == reference_decide(poly, x, y, params).to_json()
+    return verdict
+
+
+class TestDecideAgainstReference:
+    @pytest.mark.parametrize("name", sorted(DECIDE_PARAMS))
+    def test_presets(self, name):
+        poly = preset(name)
+        params = OrbitParams(**DECIDE_PARAMS[name])
+        rng = random.Random(71)
+        points = [p for p in (sample_interior(poly, rng) for _ in range(8))
+                  if params.in_window(p)][:3]
+        assert points
+        for x in points:
+            nodes = explore(poly, x, params).nodes
+            for y in nodes[1:6] + nodes[-2:] + points:
+                assert_decide_matches_reference(poly, x, y, params)
+
+    # (preset, x, y, caps, stage of the full searches, verdict kind)
+    STAGES = [
+        ("cn(2)", (1, 3), (3, 1), DECIDE_PARAMS["cn(2)"], "x", "equivalent"),
+        ("c_x_s2", (Fraction(-3, 8), Fraction(-7, 8)), (Fraction(25, 8), Fraction(-7, 8)),
+         dict(max_norm=3, max_points=8, window=((-1, 6), (-1, 1))), "y", "equivalent"),
+        ("cn(3)", (1, 2, 3), (1, 2, 9),
+         dict(max_norm=1, window=((0, 12),) * 3, max_points=40, max_depth=16),
+         "meet", "equivalent"),
+        ("cp2", (Fraction(-1, 2), Fraction(-1, 5)), (Fraction(-1, 2), Fraction(1, 10)),
+         DECIDE_PARAMS["cp2"], None, "distinct"),
+        ("cn(3)", (1, 2, 3), (1, 2, 50),
+         dict(max_norm=1, window=((0, 50),) * 3, max_points=12, max_depth=3),
+         None, "unknown"),
+        ("c2_x_ts1", (1, 2, 0), (1, 2, Fraction(1, 2)), DECIDE_PARAMS["c2_x_ts1"],
+         None, "unknown"),
+    ]
+
+    @pytest.mark.parametrize("name, x, y, caps, stage, kind", STAGES)
+    def test_every_stage(self, name, x, y, caps, stage, kind):
+        poly = preset(name)
+        params = OrbitParams(**caps)
+        assert reference_stage(poly, x, y, params) == stage
+        assert assert_decide_matches_reference(poly, x, y, params).kind == kind
+
+    def test_target_reached_in_the_shell(self):
+        # (7, 1) lies outside the window; only the one-shell expansion reaches it
+        poly = preset("cn(2)")
+        params = OrbitParams(max_norm=1, max_points=40, window=((0, 5), (0, 9)))
+        x, y = as_point((1, 7)), as_point((7, 1))
+        full = explore(poly, x, params)
+        assert y in full.parents and y not in full.nodes
+        verdict = assert_decide_matches_reference(poly, x, y, params)
+        assert verdict.kind == "equivalent"
+        assert replay_path(x, verdict.path) == y
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(DECIDE_PARAMS)), st.data())
+    def test_hypothesis_pairs(self, name, data):
+        poly = preset(name)
+        caps = dict(DECIDE_PARAMS[name])
+        wide = OrbitParams(**caps)
+        # tighter point caps make some pairs meet, or connect from y only
+        caps["max_points"] = data.draw(st.sampled_from((4, 8, caps["max_points"])))
+        params = OrbitParams(**caps)
+        offsets = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+        def point():
+            p = tuple(c + data.draw(offsets) for c in poly.interior_point())
+            assume(poly.is_interior(p) and params.in_window(as_point(p)))
+            return p
+
+        x = point()
+        if data.draw(st.booleans()):
+            nodes = explore(poly, x, wide).nodes
+            y = nodes[data.draw(st.integers(0, len(nodes) - 1))]
+        else:
+            y = point()
+        assert_decide_matches_reference(poly, x, y, params)
+
+
+class TestExploreTarget:
+    def test_stops_at_target_with_the_full_path(self):
+        poly = preset("cn(3)")
+        params = OrbitParams(max_norm=1, max_points=150, window=((0, 6),) * 3)
+        x = (1, 2, scalar(1, 1, 2))
+        full = explore(poly, x, params)
+        for y in full.nodes[1::7] + [p for p in full.parents if p not in full.nodes][:3]:
+            graph = explore(poly, x, params, target=y)
+            assert graph.truncated
+            # BFS order up to the target, and the target's parent last
+            assert list(graph.parents) == list(full.parents)[: len(graph.parents)]
+            assert list(graph.parents)[-1] == y
+            assert [m.to_json() for m in graph.path_to(y)] == [
+                m.to_json() for m in full.path_to(y)
+            ]
+
+    def test_unreached_target_leaves_the_full_graph(self):
+        poly = preset("s2s2_monotone")
+        params = OrbitParams(max_norm=2)
+        x = (Fraction(1, 5), Fraction(1, 2))
+        full = explore(poly, x, params)
+        for target in ((Fraction(3, 10), Fraction(1, 2)), x):
+            graph = explore(poly, x, params, target=target)
+            assert graph.to_json() == full.to_json()
+            assert not graph.truncated
+            assert list(graph.parents) == list(full.parents)

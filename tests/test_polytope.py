@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 
 from delzant import DelzantPolytope, as_point, monodromy, preset, probe, scalar
 from delzant.errors import (
+    DimensionMismatch,
     InfeasibleEmpty,
     NotDelzant,
     NotInterior,
+    NotPrimitive,
     NotUnimodular,
     ValidationError,
 )
-from delzant.lattice import ExactScalar, GammaLattice, mat_vec
+from delzant.lattice import ExactScalar, GammaLattice, dot, mat_vec
 from delzant.polytope import in_window
 from delzant.reduction import AffineSlice
 
@@ -107,6 +109,37 @@ class TestEll:
     def test_s2s2_center(self):
         poly = preset("s2s2_monotone")
         assert poly.ell((0, 0)) == as_point((1, 1, 1, 1))
+
+
+# -- the dense distance vector that the sparse facet rows replaced ---------------
+
+
+def reference_ell(poly, x):
+    """l(x) as one dense dot per facet, zero entries included."""
+    x = as_point(x)
+    return tuple(dot(x, f.normal) + f.offset for f in poly.facets)
+
+
+def assert_ell_matches_reference(poly, points):
+    for x in points:
+        want = reference_ell(poly, x)
+        assert poly.ell(x) == want
+        assert tuple(f.support(as_point(x)) for f in poly.facets) == want
+
+
+@pytest.mark.parametrize("name", [
+    "cp2", "s2s2_monotone", "c_x_s2", "c2_x_ts1", "ts1_x_s2",
+    "cn(1)", "cn(2)", "cn(3)", "cn(4)",
+])
+def test_ell_matches_dense_reference(name):
+    poly = preset(name)
+    rng = random.Random(83)
+    points = [sample_interior(poly, rng) for _ in range(6)]
+    # exterior and boundary points, and a coordinate in Q(sqrt 2)
+    points += [tuple(Fraction(rng.randint(-40, 40), 7) for _ in range(poly.dim))
+               for _ in range(6)]
+    points += [(0,) * poly.dim, (scalar(1, 1, 2),) + (Fraction(-3, 4),) * (poly.dim - 1)]
+    assert_ell_matches_reference(poly, points)
 
 
 class TestInvariants:
@@ -273,6 +306,60 @@ def test_vertices_of_affine_images(name, D, M, t_rat, t_quad):
         for v in poly.check_delzant()
     )
     assert [v.point for v in image.check_delzant()] == moved
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(("cp2", "s2s2_monotone", "c_x_s2")),
+    st.sampled_from((1, 2, 5)),
+    unimodular_2x2(),
+    st.tuples(fractions, fractions),
+    st.tuples(fractions, fractions),
+    st.lists(st.tuples(fractions, fractions), min_size=1, max_size=4),
+)
+def test_ell_of_affine_images_matches_dense_reference(name, D, M, t_rat, t_quad, xs):
+    """Normal entries beyond +-1 and offsets in Q(sqrt D), at any point."""
+    base = preset(name)
+    poly = DelzantPolytope(2, [(f.normal, f.offset) for f in base.facets], D)
+    t = tuple(scalar(r, q, D) for r, q in zip(t_rat, t_quad))
+    image = poly.apply_affine(M, t)
+    points = xs + [tuple(a + b for a, b in zip(mat_vec(M, x), t)) for x in xs]
+    assert_ell_matches_reference(image, points + [v.point for v in image.check_delzant()])
+
+
+# error class and message of every l(x) consumer, as before the one-l(x) rewrite
+POINT_ERRORS = [
+    ("cp2", (1, 1), NotInterior, "(1, 1) is not in the open polytope"),
+    ("cp2", (-1, 0), NotInterior, "(-1, 0) is not in the open polytope"),
+    ("cn(3)", (-1, 2, 3), NotInterior, "(-1, 2, 3) is not in the open polytope"),
+    ("cp2", (0, 0, 0), DimensionMismatch, "point of length 3 in dim 2"),
+    ("cn(3)", (1, 2), DimensionMismatch, "point of length 2 in dim 3"),
+]
+
+
+@pytest.mark.parametrize("name, x, error, message", POINT_ERRORS)
+def test_point_errors_pinned(name, x, error, message):
+    poly = preset(name)
+    # a non-primitive direction does not mask the point's error
+    calls = [poly.invariants, poly.de_germ,
+             lambda x: probe.shoot(poly, x, (1,) + (0,) * (poly.dim - 1)),
+             lambda x: probe.shoot(poly, x, (2,) * poly.dim)]
+    for call in calls:
+        with pytest.raises(error) as got:
+            call(x)
+        assert type(got.value) is error and str(got.value) == message
+
+
+@pytest.mark.parametrize("name, x, v, error, message", [
+    ("cp2", (0, 0), (2, 2), NotPrimitive, "direction (2, 2) is not primitive"),
+    ("cp2", (0, 0), (2, 0), NotPrimitive, "direction (2, 0) is not primitive"),
+    ("cn(3)", (1, 2, 3), (0, 2, 4), NotPrimitive, "direction (0, 2, 4) is not primitive"),
+    ("cp2", (0, 0), (1, 0, 0), DimensionMismatch, "dot of lengths 3 and 2"),
+])
+def test_direction_errors_pinned(name, x, v, error, message):
+    with pytest.raises(error) as got:
+        probe.shoot(preset(name), x, v)
+    assert type(got.value) is error and str(got.value) == message
 
 
 class TestApplyAffine:

@@ -14,7 +14,7 @@ from delzant.errors import (
     UnboundedRay,
 )
 from delzant.lattice import dot, identity, mat_det, mat_mul, mat_vec
-from delzant.probe import enumerate_probes, involution, partner, shoot
+from delzant.probe import ProbeSolver, enumerate_probes, involution, partner, shoot, solver
 
 from test_polytope import sample_interior
 
@@ -136,3 +136,21 @@ class TestEnumerate:
         poly = preset("cp2")
         x = (Fraction(-1, 2), Fraction(-1, 5))
         assert enumerate_probes(poly, x, 3) == enumerate_probes(poly, x, 3)
+
+    def test_max_norm_below_one_rejected(self):
+        poly = preset("cn(2)")
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_norm must be >= 1"):
+                ProbeSolver(poly, bad)
+            with pytest.raises(ValueError, match="max_norm must be >= 1"):
+                enumerate_probes(poly, (1, 3), bad)
+        assert poly._solvers == {}
+
+    def test_solver_built_once_per_polytope_and_cap(self):
+        poly = preset("cp2")
+        first = solver(poly, 2)
+        assert solver(poly, 2) is first
+        assert solver(poly, 1) is not first
+        assert solver(preset("cp2"), 2) is not first
+        with pytest.raises(TypeError):
+            solver(poly, 2.0)
