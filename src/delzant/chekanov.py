@@ -80,27 +80,28 @@ def _positive(values):
     return out
 
 
+def _fibre(values):
+    """The product torus with these parameters, as the orthant fibre at them."""
+    vals = _positive(values)
+    return _orthant(len(vals)).fibre(vals)
+
+
 def reduce(values) -> ReducedVector:
     """Normal form data: minimum, multiplicity, sorted positive excesses."""
-    vals = _positive(values)
-    d = min(vals)
-    excesses = sorted(v - d for v in vals if v != d)
-    return ReducedVector(d, len(vals) - len(excesses), tuple(excesses))
+    f = _fibre(values)
+    return ReducedVector(f.d, len(f.active), f.reduced())
 
 
 def gamma(values) -> GammaLattice:
-    vals = _positive(values)
-    d = min(vals)
-    return GammaLattice([v - d for v in vals])
+    return _fibre(values).gamma()
 
 
 def equivalent(a, b) -> bool:
     """Equality of the complete invariant (d, multiplicity, excess subgroup)."""
-    va, vb = _positive(a), _positive(b)
-    if len(va) != len(vb):
-        raise LengthMismatch(f"lengths {len(va)} and {len(vb)}")
-    ra, rb = reduce(va), reduce(vb)
-    return ra.d == rb.d and ra.mult == rb.mult and gamma(va) == gamma(vb)
+    fa, fb = _fibre(a), _fibre(b)
+    if len(fa.ell) != len(fb.ell):
+        raise LengthMismatch(f"lengths {len(fa.ell)} and {len(fb.ell)}")
+    return fa.d == fb.d and len(fa.active) == len(fb.active) and fa.gamma() == fb.gamma()
 
 
 def integral_affine_length(entries) -> ExactScalar:

@@ -155,13 +155,11 @@ def _cmd_check(args):
 
 def _cmd_invariants(args):
     poly = parse_polytope(args.polytope)
-    x = parse_point(args.point, poly.field_disc)
-    inv = poly.invariants(x)
-    d, active = poly.de_germ(x)
+    f = poly.fibre(parse_point(args.point, poly.field_disc))
     return 0, {
-        "invariants": inv.to_json(),
-        "ell": [str(v) for v in poly.ell(x)],
-        "de_germ": {"d": str(d), "active": list(active)},
+        "invariants": poly.invariants(f).to_json(),
+        "ell": [str(v) for v in f.ell],
+        "de_germ": {"d": str(f.d), "active": list(f.active)},
         "reduction_type": poly.normals_span(),
     }
 

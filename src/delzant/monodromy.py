@@ -48,7 +48,7 @@ class MatrixGroup:
 
 
 def _check_cap(cap):
-    if cap < 1:
+    if operator.index(cap) < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
 
 
@@ -286,22 +286,17 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
         raise ValueError(f"bound must be >= 0, got {bound}")
     if not poly.normals_span():
         raise NotReductionType("facet normals do not span R^n")
-    x = poly._require_interior(x)
-    y = poly._require_interior(y)
+    fx, fy = poly.fibre(x), poly.fibre(y)
     N = poly.nfacets
     n = poly.dim
-    lx, ly = poly.ell(x), poly.ell(y)
-    dx, dy = min(lx), min(ly)
-    I_x = [i for i, v in enumerate(lx) if v == dx]
-    I_y = [i for i, v in enumerate(ly) if v == dy]
-    if dx != dy or len(I_x) != len(I_y):
+    if fx.d != fy.d or len(fx.active) != len(fy.active):
         return AmbientOutcome(
             "infeasible",
             certificates=(
                 {
                     "kind": "invariants",
-                    "d": [str(dx), str(dy)],
-                    "count": [len(I_x), len(I_y)],
+                    "d": [str(fx.d), str(fy.d)],
+                    "count": [len(fx.active), len(fy.active)],
                 },
             ),
             bound=bound,
@@ -309,20 +304,20 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
     xi = lattice.transpose(tuple(f.normal for f in poly.facets))  # n x N
     _, h2 = poly.boundary_data()
     det_S, J, adj_S = _induced_frame(xi, n, N)
-    free = [i for i in range(N) if i not in I_x]
+    free = [i for i in range(N) if i not in fx.active]
     f = len(free)
     solutions = []
     certificates = []
     inconclusive = False
-    for images in itertools.permutations(I_y):
-        perm = tuple(zip(I_x, images))
+    for images in itertools.permutations(fy.active):
+        perm = tuple(zip(fx.active, images))
         fixed_cols = {i: j for i, j in perm}
-        rows, rhs = _ambient_system(lx, ly, h2, free, fixed_cols, N)
+        rows, rhs = _ambient_system(fx.ell, fy.ell, h2, free, fixed_cols, N)
         z0, kernel, cert = lattice.solve_integer(rows, rhs)
         if cert is not None:
             certificates.append({"kind": "linear", "perm": perm, **cert.to_json()})
             continue
-        if x == y and all(i == j for i, j in perm):
+        if fx.point == fy.point and all(i == j for i, j in perm):
             # recenter on the identity so t = 0 always recovers it
             z0 = tuple(
                 1 if j == free[s] else 0
@@ -507,26 +502,21 @@ def check_ambient(poly: DelzantPolytope, x, y, A) -> AmbientReport:
     N = poly.nfacets
     if len(A) != N or any(len(r) != N for r in A):
         raise DimensionMismatch(f"expected a {N}x{N} matrix")
-    x = poly._require_interior(x)
-    y = poly._require_interior(y)
-    lx, ly = poly.ell(x), poly.ell(y)
-    dx, dy = min(lx), min(ly)
-    I_x = {i for i, v in enumerate(lx) if v == dx}
-    I_y = {i for i, v in enumerate(ly) if v == dy}
+    fx, fy = poly.fibre(x), poly.fibre(y)
     cols = lattice.transpose(A)
     images = set()
     distinguished = True
-    for i in I_x:
+    for i in fx.active:
         col = cols[i]
         ones = [j for j, c in enumerate(col) if c != 0]
-        if len(ones) == 1 and col[ones[0]] == 1 and ones[0] in I_y:
+        if len(ones) == 1 and col[ones[0]] == 1 and ones[0] in fy.active:
             images.add(ones[0])
         else:
             distinguished = False
-    distinguished = distinguished and images == I_y
+    distinguished = distinguished and images == set(fy.active)
     maslov = all(sum(col) == 1 for col in cols)
     area = all(
-        sum((ly[j] * A[j][i] for j in range(N)), ExactScalar.of(0)) == lx[i]
+        sum((fy.ell[j] * A[j][i] for j in range(N)), ExactScalar.of(0)) == fx.ell[i]
         for i in range(N)
     )
     _, h2 = poly.boundary_data()

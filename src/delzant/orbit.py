@@ -10,6 +10,7 @@ orbits can re-enter the window from outside.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -27,7 +28,8 @@ class OrbitParams:
     window: Optional[tuple] = None  # per-coordinate (lo, hi) scalar bounds
 
     def __post_init__(self):
-        if self.max_norm < 1 or self.max_points < 1 or self.max_depth < 1:
+        caps = (self.max_norm, self.max_points, self.max_depth)
+        if min(map(operator.index, caps)) < 1:
             raise ValueError("all caps must be >= 1")
 
     def in_window(self, x) -> bool:
@@ -115,7 +117,8 @@ def explore(
     search; a target never reached leaves the full graph.
     """
     _check_window(poly, params)
-    root, ell_root = poly._interior_ell(x)
+    f = poly.fibre(x)
+    root = f.point
     if not params.in_window(root):
         raise NotInterior(f"root {point_str(root)} lies outside the window")
     if target is not None:
@@ -127,7 +130,7 @@ def explore(
     parents = {}
     # point -> [distances, inside the window, depth, queued]; the depth is
     # that of the first discovery
-    records = {root: [ell_root, True, 0, True]}
+    records = {root: [f.ell, True, 0, True]}
     truncated = False
     queue = deque([root])
     while queue:
@@ -238,13 +241,13 @@ def decide(poly: DelzantPolytope, x, y, params: OrbitParams) -> Verdict:
     verdicts and paths are those of two full searches and the meet scan.
     """
     _check_window(poly, params)
-    x = poly._require_interior(x)
-    y = poly._require_interior(y)
+    fx, fy = poly.fibre(x), poly.fibre(y)
+    x, y = fx.point, fy.point
     if x == y:
         return Verdict("equivalent", path=())
     reduction_type = poly.normals_span()
-    inv_x = poly.invariants(x)
-    inv_y = poly.invariants(y)
+    inv_x = poly.invariants(fx)
+    inv_y = poly.invariants(fy)
     # only (d, #_d, Gamma) obstruct; the reduced vector is normal-form data
     if (inv_x.d, inv_x.count, inv_x.gamma) != (inv_y.d, inv_y.count, inv_y.gamma):
         parts = []
@@ -267,10 +270,10 @@ def decide(poly: DelzantPolytope, x, y, params: OrbitParams) -> Verdict:
                 "reduction_type": reduction_type,
             },
         )
-    graph_x = explore(poly, x, params, target=y)
+    graph_x = explore(poly, fx, params, target=y)
     if y in graph_x.parents:
         return Verdict("equivalent", path=tuple(graph_x.path_to(y)))
-    graph_y = explore(poly, y, params, target=x)
+    graph_y = explore(poly, fy, params, target=x)
     if x in graph_y.parents:
         backward = [m.reversed() for m in reversed(graph_y.path_to(x))]
         return Verdict("equivalent", path=tuple(backward))
@@ -286,7 +289,7 @@ def decide(poly: DelzantPolytope, x, y, params: OrbitParams) -> Verdict:
     if reduction_type:
         from . import monodromy
 
-        outcome = monodromy.solve_ambient(poly, x, y, bound=3)
+        outcome = monodromy.solve_ambient(poly, fx, fy, bound=3)
         if outcome.kind == "infeasible":
             return Verdict(
                 "distinct",

@@ -85,6 +85,26 @@ class Vertex:
 
 
 @dataclass(frozen=True)
+class Fibre:
+    """An interior point with l(x), d = min l(x) and the distinguished facets
+    {i : l_i(x) = d}.  Every entry point that takes a point takes a Fibre."""
+
+    poly: DelzantPolytope = field(compare=False, repr=False)
+    point: tuple
+    ell: tuple
+    d: ExactScalar
+    active: tuple
+
+    def gamma(self) -> GammaLattice:
+        """The subgroup generated by the excesses l_i(x) - d."""
+        return GammaLattice([v - self.d for v in self.ell])
+
+    def reduced(self) -> tuple:
+        """The positive excesses, sorted."""
+        return tuple(sorted(v - self.d for v in self.ell if v != self.d))
+
+
+@dataclass(frozen=True)
 class ChekanovInvariants:
     """d(x), its multiplicity, the excess subgroup and the reduced vector."""
 
@@ -107,9 +127,10 @@ class DelzantPolytope:
 
     def __init__(self, dim, facets, field_disc=1):
         # ints only: int() would truncate a float normal or dimension unseen
-        dim = operator.index(dim)
-        self.dim = dim
-        self.field_disc = field_disc
+        self.dim = dim = operator.index(dim)
+        self.field_disc = field_disc = operator.index(field_disc)
+        if not lattice.is_squarefree(field_disc):
+            raise ValidationError(f"field D = {field_disc} is not square-free and >= 1")
         built = []
         seen = set()
         planes = set()
@@ -174,16 +195,18 @@ class DelzantPolytope:
     def is_interior(self, x) -> bool:
         return all(v.sign() > 0 for v in self.ell(x))
 
-    def _require_interior(self, x):
-        return self._interior_ell(x)[0]
-
-    def _interior_ell(self, x):
-        """(x as a point, l(x)); NotInterior unless x is in the open polytope."""
-        x = as_point(x)
+    def fibre(self, x) -> Fibre:
+        """The Fibre over x; NotInterior off the open polytope.  A Fibre of
+        this polytope is returned as it is, one of another checked again."""
+        if isinstance(x, Fibre) and x.poly is self:
+            return x
+        x = as_point(x.point if isinstance(x, Fibre) else x)
         values = self.ell(x)
         if not all(v.sign() > 0 for v in values):
             raise NotInterior(f"{point_str(x)} is not in the open polytope")
-        return x, values
+        d = min(values)
+        active = tuple(i for i, v in enumerate(values) if v == d)
+        return Fibre(self, x, values, d, active)
 
     def normals_span(self) -> bool:
         """True iff the facet normals span R^n (reduction-type polytope)."""
@@ -195,12 +218,8 @@ class DelzantPolytope:
     # -- invariants ------------------------------------------------------------
 
     def invariants(self, x) -> ChekanovInvariants:
-        values = self._interior_ell(x)[1]
-        d = min(values)
-        diffs = [v - d for v in values]
-        count = sum(1 for v in diffs if not v)
-        reduced = tuple(sorted(v for v in diffs if v))
-        return ChekanovInvariants(d, count, GammaLattice(diffs), reduced)
+        f = self.fibre(x)
+        return ChekanovInvariants(f.d, len(f.active), f.gamma(), f.reduced())
 
     def de_germ(self, x):
         """Distance and active index set of the displacement-energy germ.
@@ -209,10 +228,8 @@ class DelzantPolytope:
         at 0 equals the displacement energy on an open dense set of base
         points (standing assumption for non-exact cases).
         """
-        values = self._interior_ell(x)[1]
-        d = min(values)
-        active = tuple(i for i, v in enumerate(values) if v == d)
-        return d, active
+        f = self.fibre(x)
+        return f.d, f.active
 
     # -- structure ------------------------------------------------------------
 

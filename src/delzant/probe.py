@@ -207,7 +207,7 @@ def shoot(poly: DelzantPolytope, x, v) -> SymmetricProbe:
     (else the endpoint lies on a lower-dimensional face) and must pair to
     +-1 with v (integral transversality).
     """
-    x, ell = poly._interior_ell(x)
+    f = poly.fibre(x)
     v = tuple(map(operator.index, v))
     if not lattice.is_primitive(v):
         raise NotPrimitive(f"direction {v} is not primitive")
@@ -215,12 +215,12 @@ def shoot(poly: DelzantPolytope, x, v) -> SymmetricProbe:
 
     def end(side, label):
         if not side:
-            raise UnboundedRay(f"ray {label} from {point_str(x)} never exits")
-        return _end(ell, d, side)
+            raise UnboundedRay(f"ray {label} from {point_str(f.point)} never exits")
+        return _end(f.ell, d, side)
 
     t_plus, exit_idx = end(d.exits, "+v")
     t_minus, entry_idx = end(d.entries, "-v")
-    return _make_probe(poly.facets, x, v, t_minus, entry_idx, t_plus, exit_idx)
+    return _make_probe(poly.facets, f.point, v, t_minus, entry_idx, t_plus, exit_idx)
 
 
 def probe_parameter(sigma: SymmetricProbe, x):
@@ -285,6 +285,6 @@ def canonical_directions(dim: int, max_norm: int):
 
 def enumerate_probes(poly: DelzantPolytope, x, max_norm: int):
     """All symmetric probes through x with direction sup-norm <= max_norm."""
-    x, ell = poly._interior_ell(x)
+    f = poly.fibre(x)
     probe_solver = solver(poly, max_norm)
-    return [probe_solver.probe(x, hit) for hit in probe_solver.hits(ell)]
+    return [probe_solver.probe(f.point, hit) for hit in probe_solver.hits(f.ell)]

@@ -234,8 +234,8 @@ class LiftResult:
     kernel: tuple            # basis of {c : sum c_i xi_i = 0}
 
     def lift_point(self, x):
-        """Product-torus parameters of the lifted fibre."""
-        return self.poly.ell(x)
+        """Product-torus parameters of the lifted fibre; x must be interior."""
+        return self.poly.fibre(x).ell
 
     def to_json(self):
         return {"kernel": [list(v) for v in self.kernel]}

@@ -271,6 +271,18 @@ def _trivial(n):
                            contains=lambda M: tuple(map(tuple, M)) == ident)
 
 
+# all matrices [[1,0],[2k,+-1]]: the monodromy on the equator x2 = 0 of
+# ts1_x_s2, and on its part x1 > 0 in c_x_s2
+_EVEN_SHEARS = OracleMonodromy(
+    "infinite",
+    (((1, 0), (0, -1)), ((1, 0), (2, -1))),
+    contains=lambda M: (
+        tuple(M[0]) == (1, 0) and M[1][0] % 2 == 0 and M[1][1] in (1, -1)
+    ),
+    note="all matrices [[1,0],[2k,+-1]]",
+)
+
+
 _D4 = tuple(
     tuple(map(tuple, m))
     for m in (
@@ -290,19 +302,7 @@ def oracle_monodromy(name: str, x) -> OracleMonodromy:
     if name == "c_x_s2":
         return _cxs2_monodromy(x)
     if name == "ts1_x_s2":
-        x1, x2 = x
-        if x2 == 0:
-            return OracleMonodromy(
-                "infinite",
-                (((1, 0), (0, -1)), ((1, 0), (2, -1))),
-                contains=lambda M: (
-                    tuple(M[0]) == (1, 0)
-                    and M[1][0] % 2 == 0
-                    and M[1][1] in (1, -1)
-                ),
-                note="all matrices [[1,0],[2k,+-1]]",
-            )
-        return _trivial(2)
+        return _EVEN_SHEARS if x[1] == 0 else _trivial(2)
     if name == "c2_x_ts1":
         x1, x2, x3 = x
         if x1 == x2:
@@ -383,16 +383,7 @@ def _cxs2_monodromy(x):
     a = abs(x2)
     if x2 == 0:
         if x1.sign() > 0:
-            return OracleMonodromy(
-                "infinite",
-                (((1, 0), (0, -1)), ((1, 0), (2, -1))),
-                contains=lambda M: (
-                    tuple(M[0]) == (1, 0)
-                    and M[1][0] % 2 == 0
-                    and M[1][1] in (1, -1)
-                ),
-                note="all matrices [[1,0],[2k,+-1]]",
-            )
+            return _EVEN_SHEARS
         return _finite([((1, 0), (0, -1))])
     if x1 == -a:
         if x2.sign() > 0:

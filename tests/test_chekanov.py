@@ -6,13 +6,17 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delzant import as_point, scalar
 from delzant.chekanov import (
     Elswap,
     ProbeWord,
+    ReducedVector,
     Swap,
     equivalent,
+    gamma,
     integral_affine_length,
     probe_word,
     reduce,
@@ -25,6 +29,7 @@ from delzant.errors import (
     PreconditionViolated,
     RankNotOne,
 )
+from delzant.lattice import GammaLattice
 
 
 # -- brute-force oracle: GL(2,Z) word search --------------------------------
@@ -59,6 +64,61 @@ def gl2_word_reachable(a, b, max_len):
     ball_a = _gl2_ball(a, half)
     ball_b = _gl2_ball(b, max_len - half)
     return any(p in ball_b for p in ball_a)
+
+
+# -- reduce and gamma as they were before the orthant Fibre -----------------------
+
+
+def _positive(values):
+    out = as_point(values)
+    if any(v.sign() <= 0 for v in out):
+        raise NonPositiveEntry(f"entries must be positive, got {values}")
+    return out
+
+
+def reference_reduce(values) -> ReducedVector:
+    vals = _positive(values)
+    d = min(vals)
+    excesses = sorted(v - d for v in vals if v != d)
+    return ReducedVector(d, len(vals) - len(excesses), tuple(excesses))
+
+
+def reference_gamma(values) -> GammaLattice:
+    vals = _positive(values)
+    d = min(vals)
+    return GammaLattice([v - d for v in vals])
+
+
+def reference_equivalent(a, b) -> bool:
+    ra, rb = reference_reduce(a), reference_reduce(b)
+    return (ra.d, ra.mult, reference_gamma(a)) == (rb.d, rb.mult, reference_gamma(b))
+
+
+# entries from few values over Q(sqrt 2), so that ties and equal invariants occur
+_entries = st.builds(
+    lambda r, q: scalar(r, q, 2),
+    st.sampled_from((Fraction(1, 2), 1, 2, 3)),
+    st.sampled_from((0, 0, 1, Fraction(1, 2))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*[st.lists(_entries, min_size=n, max_size=n)] * 2)
+))
+def test_against_the_references(pair):
+    a, b = pair
+    assert reduce(a) == reference_reduce(a)
+    assert gamma(a) == reference_gamma(a)
+    assert equivalent(a, b) == reference_equivalent(a, b)
+
+
+@pytest.mark.parametrize("bad", [(1, 0, 2), (1, -1), (scalar(1, -1, 2), 3)])
+def test_errors_match_the_references(bad):
+    for call in (reduce, gamma, reference_reduce, lambda v: equivalent(v, v)):
+        with pytest.raises(NonPositiveEntry) as got:
+            call(bad)
+        assert str(got.value) == f"entries must be positive, got {bad}"
 
 
 class TestReduce:

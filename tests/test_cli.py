@@ -16,6 +16,8 @@ from delzant.cli import (
 )
 from delzant.errors import ParseError, ValidationError
 
+from test_polytope import reference_de_germ, reference_invariants
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -96,6 +98,26 @@ class TestPolytopeFiles:
         path.write_text(
             json.dumps({"dim": 1, "facets": [{"normal": [1], "offset": 0.5}]})
         )
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("disc, offset", [(4, "1"), (0, "1+5√0"), (-1, "1")])
+    def test_field_disc_not_squarefree_exits_2(self, capsys, tmp_path, disc, offset):
+        # D = 0 once read 1+5√0 as 1 and exited 0
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"dim": 1, "field": {"D": disc}, "facets": [
+            {"normal": [1], "offset": offset},
+        ]}))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "ValidationError"
+
+    def test_float_field_disc_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(
+            {"dim": 1, "field": {"D": 2.0}, "facets": [{"normal": [1], "offset": "1"}]}
+        ))
         code, out, err = run(capsys, "check", str(path))
         assert code == 2 and not out
         assert json.loads(err)["error"] == "ParseError"
@@ -311,6 +333,30 @@ class TestDispatch:
         data = json.loads(out)
         assert data["kernel"] == [[1, 1, 1]]
         assert data["lifted_point"] == ["1/2", "4/5", "17/10"]
+
+    @pytest.mark.parametrize("point", ["5,5", "1/2,1/2"])
+    def test_lift_point_outside_exits_2(self, capsys, point):
+        code, out, err = run(capsys, "lift", "preset:cp2", "--point", point)
+        assert code == 2 and not out
+        assert json.loads(err) == {
+            "error": "NotInterior",
+            "message": f"({point.replace(',', ', ')}) is not in the open polytope",
+        }
+
+    def test_invariants_match_the_references(self, capsys):
+        poly = parse_polytope("preset:s2s2_monotone")
+        for text in ("0,1/2", "-1/3,1/3", "1/2,-1/5"):
+            code, out, _ = run(capsys, "invariants", "preset:s2s2_monotone",
+                               "--point", text)
+            assert code == 0
+            x = parse_point(text)
+            d, active = reference_de_germ(poly, x)
+            assert json.loads(out) == {
+                "invariants": reference_invariants(poly, x).to_json(),
+                "ell": [str(v) for v in poly.ell(x)],
+                "de_germ": {"d": str(d), "active": list(active)},
+                "reduction_type": True,
+            }
 
     def test_lift_negative(self, capsys):
         code, out, _ = run(capsys, "lift", "preset:ts1_x_s2")

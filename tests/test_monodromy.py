@@ -159,6 +159,14 @@ class TestMulclose:
                 complete += not group.truncated
         assert complete >= 10  # the untruncated path, which skips the inverse pass
 
+    def test_float_cap_rejected(self):
+        # a float cap once ran and showed up in MatrixGroup.to_json
+        with pytest.raises(TypeError):
+            mulclose([((1, 1), (0, 1))], cap=2.5)
+        graph = _graph("cp2", (0, 0), max_norm=1)
+        with pytest.raises(TypeError):
+            holonomy_group(graph, (0, 0), cap=2.5)
+
     def test_cap_below_one_rejected(self):
         with pytest.raises(ValueError):
             mulclose([((1, 1), (0, 1))], cap=0)

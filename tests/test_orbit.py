@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delzant import (
+    DelzantPolytope,
     OrbitParams,
     Verdict,
     as_point,
@@ -38,6 +39,14 @@ from delzant.probe import (
 from delzant.spaces import oracle_orbit
 
 from test_polytope import sample_interior
+
+
+@pytest.mark.parametrize("caps", [
+    dict(max_norm=2.0), dict(max_norm=1, max_points=2.5), dict(max_norm=1, max_depth=3.5),
+])
+def test_float_caps_rejected(caps):
+    with pytest.raises(TypeError):
+        OrbitParams(**caps)
 
 
 class TestExplore:
@@ -239,7 +248,7 @@ class TestDecide:
 
 def reference_shoot(poly, x, v):
     """Shoot by walking the ray from x both ways, re-deriving l(x) each call."""
-    x = poly._require_interior(x)
+    x = poly.fibre(x).point
     v = tuple(int(c) for c in v)
     values = poly.ell(x)
 
@@ -292,7 +301,7 @@ def reference_probes(poly, x, max_norm):
 
 def reference_explore(poly, x, params):
     """explore() as one shoot and one partner call per direction and node."""
-    root = poly._require_interior(x)
+    root = poly.fibre(x).point
     nodes, edges, parents = [root], [], {}
     edge_keys = set()
     in_window, depth, queued = {root: True}, {root: 0}, {root}
@@ -419,8 +428,8 @@ def test_edge_key_is_symmetric():
 
 def reference_decide(poly, x, y, params):
     """decide() with full explores of both sides, then the meet scan."""
-    x = poly._require_interior(x)
-    y = poly._require_interior(y)
+    x = poly.fibre(x).point
+    y = poly.fibre(y).point
     if x == y:
         return Verdict("equivalent", path=())
     reduction_type = poly.normals_span()
@@ -540,6 +549,22 @@ class TestDecideAgainstReference:
         params = OrbitParams(**caps)
         assert reference_stage(poly, x, y, params) == stage
         assert assert_decide_matches_reference(poly, x, y, params).kind == kind
+
+    @pytest.mark.parametrize("name, x, y, caps, stage, kind", STAGES)
+    def test_two_distance_vectors_per_decide(self, monkeypatch, name, x, y, caps,
+                                             stage, kind):
+        # l(x) and l(y) once each, whichever stage decides
+        poly, params = preset(name), OrbitParams(**caps)
+        calls = []
+        ell = DelzantPolytope.ell
+
+        def counted(self, point):
+            calls.append(point)
+            return ell(self, point)
+
+        monkeypatch.setattr(DelzantPolytope, "ell", counted)
+        assert decide(poly, x, y, params).kind == kind
+        assert sorted(calls) == sorted([as_point(x), as_point(y)])
 
     def test_target_reached_in_the_shell(self):
         # (7, 1) lies outside the window; only the one-shell expansion reaches it

@@ -9,8 +9,19 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delzant import DelzantPolytope, as_point, monodromy, preset, probe, scalar
+from delzant import (
+    DelzantPolytope,
+    OrbitParams,
+    as_point,
+    decide,
+    explore,
+    monodromy,
+    preset,
+    probe,
+    scalar,
+)
 from delzant.errors import (
+    DelzantError,
     DimensionMismatch,
     InfeasibleEmpty,
     NotDelzant,
@@ -19,9 +30,9 @@ from delzant.errors import (
     NotUnimodular,
     ValidationError,
 )
-from delzant.lattice import ExactScalar, GammaLattice, dot, mat_vec
-from delzant.polytope import in_window
-from delzant.reduction import AffineSlice
+from delzant.lattice import ExactScalar, GammaLattice, dot, identity, mat_vec
+from delzant.polytope import ChekanovInvariants, in_window, point_str
+from delzant.reduction import AffineSlice, delzant_lift
 
 
 def sample_interior(poly, rng, box=3, tries=200):
@@ -58,6 +69,16 @@ class TestConstruction:
             DelzantPolytope(1, [((1,), 0.1)])
         with pytest.raises(TypeError):
             as_point((0, 0.1))
+
+    @pytest.mark.parametrize("D", [4, 0, -1, 12])
+    def test_field_disc_must_be_squarefree(self, D):
+        with pytest.raises(ValidationError):
+            DelzantPolytope(1, [((1,), 0)], field_disc=D)
+
+    def test_float_field_disc_rejected(self):
+        with pytest.raises(TypeError):
+            DelzantPolytope(1, [((1,), 0)], field_disc=2.0)
+        assert DelzantPolytope(1, [((1,), 0)], field_disc=2).field_disc == 2
 
     def test_float_normal_or_dim_rejected(self):
         # int() would turn the normal (1.7, 0) into (1, 0) and dim 2.9 into 2
@@ -334,6 +355,10 @@ POINT_ERRORS = [
     ("cn(3)", (-1, 2, 3), NotInterior, "(-1, 2, 3) is not in the open polytope"),
     ("cp2", (0, 0, 0), DimensionMismatch, "point of length 3 in dim 2"),
     ("cn(3)", (1, 2), DimensionMismatch, "point of length 2 in dim 3"),
+    # lift_point once returned (6, 6, -9) and (3/2, 3/2, 0) for these two
+    ("cp2", (5, 5), NotInterior, "(5, 5) is not in the open polytope"),
+    ("cp2", (Fraction(1, 2), Fraction(1, 2)), NotInterior,
+     "(1/2, 1/2) is not in the open polytope"),
 ]
 
 
@@ -341,7 +366,7 @@ POINT_ERRORS = [
 def test_point_errors_pinned(name, x, error, message):
     poly = preset(name)
     # a non-primitive direction does not mask the point's error
-    calls = [poly.invariants, poly.de_germ,
+    calls = [poly.fibre, poly.invariants, poly.de_germ, delzant_lift(poly).lift_point,
              lambda x: probe.shoot(poly, x, (1,) + (0,) * (poly.dim - 1)),
              lambda x: probe.shoot(poly, x, (2,) * poly.dim)]
     for call in calls:
@@ -435,3 +460,135 @@ class TestDeGerm:
         d, active = preset("c2_x_ts1").de_germ((2, 2, 5))
         assert d == scalar(2)
         assert active == (0, 1)
+
+
+# -- one Fibre per point ---------------------------------------------------------
+
+
+def _interior_ell(poly, x):
+    x = as_point(x)
+    values = poly.ell(x)
+    if not all(v.sign() > 0 for v in values):
+        raise NotInterior(f"{point_str(x)} is not in the open polytope")
+    return values
+
+
+def reference_invariants(poly, x) -> ChekanovInvariants:
+    """invariants() before Fibre: d, the count and Gamma derived from l(x) here."""
+    values = _interior_ell(poly, x)
+    d = min(values)
+    diffs = [v - d for v in values]
+    count = sum(1 for v in diffs if not v)
+    reduced = tuple(sorted(v for v in diffs if v))
+    return ChekanovInvariants(d, count, GammaLattice(diffs), reduced)
+
+
+def reference_de_germ(poly, x):
+    """de_germ() before Fibre."""
+    values = _interior_ell(poly, x)
+    d = min(values)
+    return d, tuple(i for i, v in enumerate(values) if v == d)
+
+
+def entry_point_results(poly, x, y):
+    """What every entry point that takes a point returns at x (and y)."""
+    params = OrbitParams(max_norm=1, max_points=12, max_depth=3)
+    shots = []
+    for v in probe.canonical_directions(poly.dim, 2):
+        try:
+            shots.append(probe.shoot(poly, x, v))
+        except DelzantError as exc:
+            shots.append((type(exc), str(exc)))
+    out = {
+        "shoot": shots,
+        "enumerate_probes": probe.enumerate_probes(poly, x, 2),
+        "explore": explore(poly, x, params).to_json(),
+        "invariants": poly.invariants(x),
+        "de_germ": poly.de_germ(x),
+        "decide": decide(poly, x, y, params).to_json(),
+    }
+    if poly.normals_span():
+        ident = identity(poly.nfacets)
+        out["solve_ambient"] = monodromy.solve_ambient(poly, x, y, bound=1).to_json()
+        out["check_ambient"] = monodromy.check_ambient(poly, x, y, ident)
+        out["lift_point"] = delzant_lift(poly).lift_point(x)
+    return out
+
+
+def assert_fibre_matches_point(poly, x, y):
+    fx, fy = poly.fibre(x), poly.fibre(y)
+    assert (fx.point, fx.ell) == (as_point(x), poly.ell(x))
+    assert (fx.d, fx.active) == reference_de_germ(poly, x)
+    assert poly.invariants(fx) == reference_invariants(poly, x)
+    want = entry_point_results(poly, x, y)
+    assert entry_point_results(poly, fx, fy) == want
+    assert entry_point_results(poly, fx, y) == want
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_fibre_matches_point_on_presets(name):
+    poly = preset(name)
+    rng = random.Random(29)
+    x, y = sample_interior(poly, rng), sample_interior(poly, rng)
+    assert_fibre_matches_point(poly, x, y)
+    assert_fibre_matches_point(poly, x, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("cp2", "s2s2_monotone", "c_x_s2", "ts1_x_s2")),
+    st.sampled_from((1, 2, 5)),
+    unimodular_2x2(),
+    st.tuples(fractions, fractions),
+    st.tuples(fractions, fractions),
+    st.randoms(use_true_random=False),
+)
+def test_fibre_matches_point_on_affine_images(name, D, M, t_rat, t_quad, rng):
+    base = preset(name)
+    poly = DelzantPolytope(2, [(f.normal, f.offset) for f in base.facets], D)
+    t = tuple(scalar(r, q, D) for r, q in zip(t_rat, t_quad))
+    image = poly.apply_affine(M, t)
+    x, y = (
+        tuple(a + b for a, b in zip(mat_vec(M, sample_interior(poly, rng)), t))
+        for _ in range(2)
+    )
+    assert_fibre_matches_point(image, x, y)
+
+
+class TestFibre:
+    def test_fields(self):
+        f = preset("s2s2_monotone").fibre((0, Fraction(1, 2)))
+        assert f.point == as_point((0, Fraction(1, 2)))
+        assert f.ell == as_point((1, Fraction(1, 2), 1, Fraction(3, 2)))
+        assert (f.d, f.active) == (scalar(Fraction(1, 2)), (1,))
+        assert f.reduced() == as_point((Fraction(1, 2), Fraction(1, 2), 1))
+
+    def test_own_fibre_returned_as_is(self):
+        poly = preset("cp2")
+        f = poly.fibre((0, 0))
+        assert poly.fibre(f) is f
+
+    def test_fibre_of_another_polytope_is_checked_again(self):
+        cn2, cp2 = preset("cn(2)"), preset("cp2")
+        outside = cn2.fibre((1, 3))  # l = (2, 4, -3) in cp2
+        calls = [cp2.fibre, cp2.invariants, cp2.de_germ,
+                 lambda x: probe.shoot(cp2, x, (1, 0)),
+                 lambda x: probe.enumerate_probes(cp2, x, 1),
+                 lambda x: explore(cp2, x, OrbitParams(max_norm=1)),
+                 lambda x: decide(cp2, x, (0, 0), OrbitParams(max_norm=1)),
+                 lambda x: monodromy.solve_ambient(cp2, (0, 0), x, bound=1),
+                 lambda x: monodromy.check_ambient(cp2, x, (0, 0), identity(3)),
+                 delzant_lift(cp2).lift_point]
+        for call in calls:
+            with pytest.raises(NotInterior) as got:
+                call(outside)
+            assert str(got.value) == "(1, 3) is not in the open polytope"
+        inside = cn2.fibre((Fraction(1, 5), Fraction(1, 2)))
+        again = cp2.fibre(inside)
+        assert again.poly is cp2 and again.point == inside.point
+        assert again.ell == cp2.ell(inside.point) != inside.ell
+        # an equal polytope is another polytope: its fibres are made anew
+        twin = preset("cp2")
+        f = cp2.fibre((0, 0))
+        assert twin.fibre(f) is not f and twin.fibre(f).poly is twin
+        assert twin.fibre(f) == f

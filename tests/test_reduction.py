@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from delzant import AffineSlice, as_point, preset, scalar
-from delzant.chekanov import reduce as reduce_tuple
 from delzant.errors import (
     NormalsDoNotSpan,
     NotAdmissible,
@@ -22,6 +21,7 @@ from delzant.reduction import (
     strip_width,
 )
 
+from test_chekanov import reference_gamma, reference_reduce
 from test_polytope import sample_interior
 
 
@@ -151,7 +151,8 @@ class TestDelzantLift:
             for _ in range(50):
                 x = sample_interior(poly, rng)
                 inv = poly.invariants(x)
-                lifted = reduce_tuple(lift.lift_point(x))
+                lifted = reference_reduce(lift.lift_point(x))
                 assert lifted.d == inv.d
                 assert lifted.mult == inv.count
                 assert lifted.entries == inv.reduced
+                assert reference_gamma(lift.lift_point(x)) == inv.gamma
