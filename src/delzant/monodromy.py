@@ -13,6 +13,7 @@ and by bounded enumeration otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -273,15 +274,19 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
     infeasibility certificate, or "inconclusive" when only the nonlinear
     determinant condition is left undecided within the bound.
 
-    The solutions of the system are z0 + sum t_k kernel_k; the sweep covers
-    the box [-bound, bound]^k of kernel parameters t and keeps the points
-    where det(induced) = +-1.  A box of more than 200 000 points is not
-    swept: only its centre t = 0 is tested.  The induced map on H_1 is
-    (Xi A)[:, J] adj(S) divided exactly by det S for an invertible block S
-    = Xi[:, J] of the normal matrix Xi; a solution whose division leaves a
-    remainder is not integral and is dropped.  A negative bound raises
-    ValueError.
+    The solutions of the system are the affine family A(t) = A_0 + sum t_k
+    A_k of z0 + sum t_k kernel_k; the sweep covers the box [-bound, bound]^k
+    of kernel parameters t and keeps the points where det(induced) = +-1.
+    A box of more than 200 000 points is not swept: only its centre t = 0
+    is tested.  The induced map on H_1 is (Xi A)[:, J] adj(S) divided
+    exactly by det S for an invertible block S = Xi[:, J] of the normal
+    matrix Xi.  The products Xi A_k are formed once per bijection, so each
+    hit only adds up precomputed integer matrices, divides by det S (a
+    remainder means the map is not integral and drops the hit) and checks
+    the columns outside J.  The bound must be an int (a float raises
+    TypeError); a negative bound raises ValueError.
     """
+    bound = operator.index(bound)
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     if not poly.normals_span():
@@ -303,7 +308,8 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
         )
     xi = lattice.transpose(tuple(f.normal for f in poly.facets))  # n x N
     _, h2 = poly.boundary_data()
-    det_S, J, adj_S = _induced_frame(xi, n, N)
+    frame = _induced_frame(xi, n, N)
+    det_S = frame[0]
     free = [i for i in range(N) if i not in fx.active]
     f = len(free)
     solutions = []
@@ -327,15 +333,15 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
             assert all(
                 lattice.dot(row, z0) == b for row, b in zip(rows, rhs)
             ), "the identity must solve its own constraint system"
+        family = _AffineFamily(xi, frame, z0, kernel, free, fixed_cols)
         # determinant condition det(induced) = +-1, i.e. det B(t) = +-det S
-        detpoly = _poly_det(_induced_family(xi, J, z0, kernel, free, fixed_cols, N))
+        detpoly = _poly_det(_poly_matrix(family.B))
         degree = max((len(m) for m in detpoly), default=0)
         found = []
         # a box too large to sweep still reports its centre point
         box_bound = bound if (2 * bound + 1) ** len(kernel) <= 200_000 else 0
         for t in _poly_hits(detpoly, len(kernel), box_bound, (det_S, -det_S)):
-            A = _assemble(z0, kernel, t, free, fixed_cols, N)
-            induced = _induced_matrix(xi, A, J, adj_S, det_S)
+            A, induced = family.at(t)
             if induced is not None:
                 found.append(AmbientSolution(A, induced, perm))
         if found:
@@ -407,10 +413,9 @@ def _ambient_system(lx, ly, h2, free, fixed_cols, N):
     return rows, rhs
 
 
-def _assemble(z0, kernel, t, free, fixed_cols, N):
-    z = list(z0)
-    for coeff, k in zip(t, kernel):
-        z = [a + coeff * b for a, b in zip(z, k)]
+def _assemble(z, free, fixed_cols, N):
+    """The N x N matrix with the free columns read from z, column by column,
+    and a 1 at (j, i) for each fixed column i -> j."""
     A = [[0] * N for _ in range(N)]
     for i, tgt in fixed_cols.items():
         A[tgt][i] = 1
@@ -435,42 +440,84 @@ def _induced_frame(xi, n, N):
     raise NotReductionType("facet normals do not span R^n")
 
 
-def _induced_family(xi, J, z0, kernel, free, fixed_cols, N):
-    """(Xi A(t))[:, J] = B0 + sum t_k Bk for A(t) the matrix of z0 + sum
-    t_k kernel_k, as the n x n matrix of sparse polynomials
-    {(): B0[r][c], (k,): Bk[r][c]} that `_poly_det` takes."""
+class _AffineFamily:
+    """The matrices A(t) = A_0 + sum t_k A_k of z0 + sum t_k kernel_k and
+    their induced maps on H_1.
 
-    def block(z, fixed):
-        return _columns(lattice.mat_mul(xi, _assemble(z, (), (), free, fixed, N)), J)
+    With frame (det S, J, adj S) from `_induced_frame`, the products Xi A_k
+    give the blocks B_k = (Xi A_k)[:, J] of the determinant polynomial,
+    P_k = B_k adj S and the other columns R_k = (Xi A_k)[:, rest].  By
+    linearity the induced map at t is P(t) / det S, and it preserves the
+    kernel of Xi iff it maps Xi[:, rest] to R(t).
+    """
 
-    blocks = [((), block(z0, fixed_cols))]
-    blocks += [((k,), block(z, {})) for k, z in enumerate(kernel)]
-    n = len(J)
+    def __init__(self, xi, frame, z0, kernel, free, fixed_cols):
+        N = len(xi[0])
+        self.det, J, self.adj = frame
+        self.rest = [c for c in range(N) if c not in J]
+        self.As = [_assemble(z0, free, fixed_cols, N)]
+        self.As += [_assemble(z, free, {}, N) for z in kernel]
+        self.XA = [lattice.mat_mul(xi, A) for A in self.As]
+        self.B = [_columns(M, J) for M in self.XA]
+        self.xi_rest = _columns(xi, self.rest)
+        self.shape = (N, len(J), len(self.rest))
+
+    @functools.cached_property
+    def vectors(self):
+        """A_k, P_k and R_k flat, row by row, in one vector per k, so that a
+        point t costs one vector sum per nonzero t_k.  Formed at the first
+        point, so a family the sweep never hits makes no product with adj S."""
+        return [
+            _flat(A) + _flat(lattice.mat_mul(B, self.adj)) + _flat(_columns(M, self.rest))
+            for A, B, M in zip(self.As, self.B, self.XA)
+        ]
+
+    def at(self, t):
+        """(A(t), its induced n x n map), the map None when it is not
+        integral (a division leaves a remainder) or A(t) does not preserve
+        the kernel of Xi.  An exact quotient M has M Xi = Xi A on the
+        columns J, so only the other columns are checked."""
+        v = self.vectors[0]
+        for c, w in zip(t, self.vectors[1:]):
+            if c:
+                v = [a + c * b for a, b in zip(v, w)]
+        N, n, m = self.shape
+        A = _rows(v, 0, N, N)
+        det = self.det
+        out = []
+        for row in _rows(v, N * N, n, n):
+            ints = []
+            for e in row:
+                q, rem = divmod(e, det)
+                if rem:
+                    return A, None
+                ints.append(q)
+            out.append(tuple(ints))
+        if lattice.mat_mul(out, self.xi_rest) != _rows(v, N * N + n * n, n, m):
+            return A, None
+        return A, tuple(out)
+
+
+def _flat(M):
+    return [e for row in M for e in row]
+
+
+def _rows(v, start, nrows, ncols):
+    """The nrows x ncols matrix stored flat in v from index start."""
+    return tuple(
+        tuple(v[start + r * ncols:start + r * ncols + ncols]) for r in range(nrows)
+    )
+
+
+def _poly_matrix(blocks):
+    """B_0 + sum t_k B_{k+1} as the n x n matrix of sparse polynomials
+    {(): B_0[r][c], (k,): B_{k+1}[r][c]} that `_poly_det` takes."""
+    monos = [()] + [(k,) for k in range(len(blocks) - 1)]
+    n = len(blocks[0])
     return [
-        [{mono: B[r][c] for mono, B in blocks if B[r][c]} for c in range(n)]
+        [{m: B[r][c] for m, B in zip(monos, blocks) if B[r][c]} for c in range(n)]
         for r in range(n)
     ]
-
-
-def _induced_matrix(xi, A, J, adj, det):
-    """The induced n x n map M = (Xi A)[:, J] adj / det on H_1, or None when
-    it is not integral (a division leaves a remainder) or A does not preserve
-    the kernel of Xi.  An exact quotient has M Xi = Xi A on the columns J, so
-    only the other columns are checked."""
-    XA = lattice.mat_mul(xi, A)
-    out = []
-    for row in lattice.mat_mul(_columns(XA, J), adj):
-        ints = []
-        for v in row:
-            q, r = divmod(v, det)
-            if r:
-                return None
-            ints.append(q)
-        out.append(tuple(ints))
-    rest = [c for c in range(len(A)) if c not in J]
-    if lattice.mat_mul(out, _columns(xi, rest)) != _columns(XA, rest):
-        return None
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -523,7 +570,9 @@ def check_ambient(poly: DelzantPolytope, x, y, A) -> AmbientReport:
     h2_ok = all(lattice.mat_vec(A, r) == tuple(r) for r in h2)
     induced = None
     if poly.normals_span():
+        # A itself, as the family of all N columns free with no kernel
         xi = lattice.transpose(tuple(f.normal for f in poly.facets))
-        det_S, J, adj_S = _induced_frame(xi, poly.dim, N)
-        induced = _induced_matrix(xi, A, J, adj_S, det_S)
+        z0 = tuple(itertools.chain.from_iterable(cols))
+        family = _AffineFamily(xi, _induced_frame(xi, poly.dim, N), z0, (), range(N), {})
+        _, induced = family.at(())
     return AmbientReport(distinguished, maslov, area, h2_ok, induced)

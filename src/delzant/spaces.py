@@ -8,6 +8,7 @@ are fixed as documented in each constructor.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -53,8 +54,15 @@ def preset(name: str) -> DelzantPolytope:
     raise UnknownPreset(f"unknown preset {name!r}; known: {PRESET_NAMES}")
 
 
+@functools.lru_cache(maxsize=64)
+def _oracle_polytope(name):
+    """One preset polytope per name for the oracles, which only read it;
+    `preset` itself builds a fresh one on every call."""
+    return preset(name)
+
+
 def _require_interior(name, x):
-    poly = preset(name)
+    poly = _oracle_polytope(name)
     x = as_point(x)
     if not poly.is_interior(x):
         raise NotInterior(f"{x} is not interior to preset {name}")

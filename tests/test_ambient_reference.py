@@ -1,15 +1,18 @@
 """The integer ambient kernels against the Fraction references they replace.
 
 `lattice.adjugate`, `lattice.unimodular_inverse`, `monodromy._ambient_system`,
-`monodromy._induced_matrix` and `monodromy._poly_hits` work in ints only.
+`monodromy._AffineFamily` and `monodromy._poly_hits` work in ints only.
 The references kept here are the Fraction Gauss-Jordan inverse, the
 Fraction constraint rows (built from `rat` and `quad`, then scaled to
-ints), the Fraction induced map (S^-1 applied to (Xi A)[:, J], integrality
-by denominator, consistency on every column) and the per-point sweep of
-the parameter box; `solve_ambient` and `check_ambient` must give identical
-outputs with either set.
+ints), a family that assembles A(t) point by point and takes the Fraction
+induced map of it (S^-1 applied to (Xi A)[:, J], integrality by
+denominator, consistency on every column), and the per-point sweep of the
+parameter box; `solve_ambient` and `check_ambient` must give identical
+outputs with either set.  `integer_induced_matrix`, the per-matrix integer
+induced map that `_AffineFamily` replaced, is kept as a second reference.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -22,9 +25,10 @@ from hypothesis import strategies as st
 from delzant import DelzantPolytope, lattice, monodromy, preset
 from delzant.errors import NotUnimodular
 from delzant.lattice import scalar
+from delzant.lattice import mat_vec
 from delzant.monodromy import check_ambient, solve_ambient
 from delzant.spaces import oracle_orbit
-from test_polytope import sample_interior
+from test_polytope import fractions, sample_interior, unimodular_2x2
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +104,56 @@ def fraction_induced_matrix(xi, A, J, adj, det):
     return tuple(out)
 
 
+def integer_induced_matrix(xi, A, J, adj, det):
+    """The induced n x n map M = (Xi A)[:, J] adj / det on H_1, or None when
+    it is not integral (a division leaves a remainder) or A does not preserve
+    the kernel of Xi.  An exact quotient has M Xi = Xi A on the columns J, so
+    only the other columns are checked."""
+    XA = lattice.mat_mul(xi, A)
+    out = []
+    for row in lattice.mat_mul(monodromy._columns(XA, J), adj):
+        ints = []
+        for v in row:
+            q, r = divmod(v, det)
+            if r:
+                return None
+            ints.append(q)
+        out.append(tuple(ints))
+    rest = [c for c in range(len(A)) if c not in J]
+    if lattice.mat_mul(out, monodromy._columns(xi, rest)) != monodromy._columns(XA, rest):
+        return None
+    return tuple(out)
+
+
+class ReferenceFamily:
+    """`monodromy._AffineFamily` point by point: A(t) from `_assemble` of
+    z0 + sum t_k kernel_k, its Fraction induced map, and determinant blocks
+    from one product Xi A per kernel vector.  Every evaluated point t is
+    appended to `hits`."""
+
+    def __init__(self, xi, frame, z0, kernel, free, fixed_cols, hits):
+        N = len(xi[0])
+        J = frame[1]
+        self.args = (z0, kernel, free, fixed_cols, N)
+        self.xi, self.frame, self.hits = xi, frame, hits
+
+        def block(z, fixed):
+            A = monodromy._assemble(z, free, fixed, N)
+            return monodromy._columns(lattice.mat_mul(xi, A), J)
+
+        self.B = [block(z0, fixed_cols)] + [block(z, {}) for z in kernel]
+
+    def at(self, t):
+        self.hits.append(t)
+        z0, kernel, free, fixed_cols, N = self.args
+        z = list(z0)
+        for c, k in zip(t, kernel):
+            z = [a + c * b for a, b in zip(z, k)]
+        A = monodromy._assemble(z, free, fixed_cols, N)
+        det, J, adj = self.frame
+        return A, fraction_induced_matrix(self.xi, A, J, adj, det)
+
+
 def poly_eval(p, t):
     total = 0
     for mono, c in p.items():
@@ -167,9 +221,12 @@ def fraction_ambient_system(lx, ly, h2, free, fixed_cols, N):
     return scale_to_int(coeff_rows, rhs)
 
 
-def reference(monkeypatch, fn, *args):
+def reference(monkeypatch, fn, *args, hits=None):
+    """fn(*args) on the references; the points at which the reference
+    family is evaluated are appended to hits when it is given."""
+    hits = [] if hits is None else hits
     with monkeypatch.context() as m:
-        m.setattr(monodromy, "_induced_matrix", fraction_induced_matrix)
+        m.setattr(monodromy, "_AffineFamily", functools.partial(ReferenceFamily, hits=hits))
         m.setattr(monodromy, "_poly_hits", product_hits)
         m.setattr(monodromy, "_ambient_system", fraction_ambient_system)
         return fn(*args)
@@ -277,8 +334,60 @@ def test_sqrt2_cases_have_sqrt2_area_rows():
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_solve_ambient_matches_reference(case, monkeypatch):
     poly, x, y = case
-    fast = solve_ambient(poly, x, y, 3).to_json()
-    assert fast == reference(monkeypatch, solve_ambient, poly, x, y, 3).to_json()
+    fast = solve_ambient(poly, x, y, 3)
+    hits = []
+    assert fast.to_json() == reference(monkeypatch, solve_ambient, poly, x, y, 3, hits=hits).to_json()
+    # every solution came out of the reference family
+    assert len(hits) >= len(fast.solutions)
+    if poly is TRAPEZOID or poly.dim == 4:  # cn(4)
+        assert hits and fast.solutions
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("cp2", "s2s2_monotone", "c_x_s2")),
+    st.sampled_from((1, 2, 5)),
+    unimodular_2x2(),
+    st.tuples(fractions, fractions),
+    st.tuples(fractions, fractions),
+    st.randoms(use_true_random=False),
+)
+def test_solve_ambient_matches_reference_on_affine_images(name, D, M, t_rat, t_quad, rng):
+    """Images x -> Mx + t (t in Q(sqrt D)^2) with shuffled facets move the
+    frame J, its block S and the columns outside it; y is an oracle partner
+    of x or another interior point."""
+    base = preset(name)
+    facets = [(f.normal, f.offset) for f in base.facets]
+    rng.shuffle(facets)
+    t = tuple(scalar(r, q, D) for r, q in zip(t_rat, t_quad))
+    image = DelzantPolytope(2, facets, D).apply_affine(M, t)
+    x = sample_interior(base, rng)
+    y = rng.choice(oracle_orbit(name, x, ((-3, 3),) * 2) + [sample_interior(base, rng)])
+    x, y = (tuple(a + b for a, b in zip(mat_vec(M, p), t)) for p in (x, y))
+    fast = solve_ambient(image, x, y, 2)
+    hits = []
+    slow = reference(pytest.MonkeyPatch(), solve_ambient, image, x, y, 2, hits=hits)
+    assert fast.to_json() == slow.to_json()
+    assert len(hits) >= len(fast.solutions)
+
+
+def test_bijections_without_hits_make_only_the_products(monkeypatch):
+    """A bijection whose sweep finds no point multiplies Xi by each A_k for
+    the determinant polynomial and makes no other matrix product."""
+    calls = []
+    mat_mul = lattice.mat_mul
+    monkeypatch.setattr(lattice, "mat_mul", lambda A, B: calls.append(1) or mat_mul(A, B))
+    infeasible = 0
+    for poly, x, y in CASES:
+        calls.clear()
+        out = solve_ambient(poly, x, y, 3)
+        if out.kind == "infeasible":
+            infeasible += 1
+            assert len(calls) == sum(
+                len(c["det_affine"]["coeffs"]) + 1
+                for c in out.certificates if c["kind"] == "determinant"
+            )
+    assert infeasible == 5
 
 
 def _probe_matrices(poly, x, y, rng):
@@ -303,9 +412,14 @@ def _probe_matrices(poly, x, y, rng):
 def test_check_ambient_induced_matches_reference(case, monkeypatch):
     poly, x, y = case
     rng = random.Random(11)
+    xi = lattice.transpose(tuple(f.normal for f in poly.facets))
+    det, J, adj = monodromy._induced_frame(xi, poly.dim, poly.nfacets)
     for A in _probe_matrices(poly, x, y, rng):
         fast = check_ambient(poly, x, y, A).induced
-        assert fast == reference(monkeypatch, check_ambient, poly, x, y, A).induced
+        hits = []
+        assert fast == reference(monkeypatch, check_ambient, poly, x, y, A, hits=hits).induced
+        assert hits == [()]
+        assert fast == integer_induced_matrix(xi, A, J, adj, det)
 
 
 def test_division_test_drops_non_integral_maps(monkeypatch):
@@ -331,7 +445,7 @@ def test_division_test_drops_non_integral_maps(monkeypatch):
         # columns e1 and e2 of Xi are facets 0 and 2: lift each target column
         A = lattice.transpose([(int(a), 0, int(b), 0) for a, b in cols])
         assert lattice.mat_mul(xi, A) == lattice.transpose(cols)
-        assert monodromy._induced_matrix(xi, A, J, adj, det) is None
+        assert integer_induced_matrix(xi, A, J, adj, det) is None
         assert check_ambient(poly, x, x, A).induced is None
         assert reference(monkeypatch, check_ambient, poly, x, x, A).induced is None
 

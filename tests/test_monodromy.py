@@ -253,6 +253,17 @@ class TestSolveAmbient:
             solve_ambient(preset("cp2"), x, x, bound=-1)
         assert solve_ambient(preset("cp2"), x, x, bound=0).kind == "solutions"
 
+    def test_float_bound_rejected_on_every_path(self):
+        # with unequal invariants a float bound once came back in to_json
+        poly = preset("cp2")
+        x, y = (Fraction(-1, 2), Fraction(-1, 5)), (0, 0)
+        assert solve_ambient(poly, x, y, bound=2).kind == "infeasible"
+        for y in (x, (0, 0)):
+            with pytest.raises(TypeError):
+                solve_ambient(poly, x, y, bound=2.5)
+            with pytest.raises(TypeError):
+                solve_ambient(poly, x, y, bound=2.0)
+
     def test_not_reduction_type(self):
         with pytest.raises(NotReductionType):
             solve_ambient(preset("ts1_x_s2"), (0, 0), (0, 0), bound=2)

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from delzant import OrbitParams, as_point, explore, preset, scalar
-from delzant.errors import OracleUnavailable, UnknownPreset
+from delzant import DelzantPolytope, OrbitParams, as_point, explore, preset, scalar, spaces
+from delzant.errors import NotInterior, OracleUnavailable, UnknownPreset
 from delzant.monodromy import holonomy_group
 from delzant.spaces import (
     h1_pass_c2_x_ts1,
@@ -212,3 +212,60 @@ class TestBespokeConstraints:
             if h1_pass_ts1_x_s2(x, x, ((1, 0), (2 * k, s)))
         ]
         assert passing == [((1, 0), (0, 1))]
+
+
+# one point per oracle branch, with a window where the orbit is infinite
+ORACLE_CASES = [
+    ("s2s2_monotone", (Fraction(1, 5), Fraction(1, 2)), None),
+    ("s2s2_monotone", (0, 0), None),
+    ("cp2", (Fraction(-1, 2), Fraction(-1, 5)), None),
+    ("cp2", (0, 0), None),
+    ("c_x_s2", (1, 0), ((-1, 6), (-1, 1))),
+    ("c_x_s2", (Fraction(1, 5), Fraction(1, 2)), ((-1, 6), (-1, 1))),
+    ("ts1_x_s2", (0, Fraction(1, 2)), ((-3, 3), (-1, 1))),
+    ("ts1_x_s2", (Fraction(1, 3), 0), ((-3, 3), (-1, 1))),
+    ("c2_x_ts1", (1, 2, 0), ((0, 10), (0, 10), (-5, 5))),
+    ("c2_x_ts1", (2, 2, 1), ((0, 10), (0, 10), (-5, 5))),
+    ("cn(3)", (1, 2, 3), ((0, 5),) * 3),
+]
+
+
+def _oracle_outputs():
+    out = []
+    for name, x, window in ORACLE_CASES:
+        out.append(oracle_orbit(name, x, window))
+        out.append(oracle_monodromy(name, x).to_json())
+    return out
+
+
+class TestOraclePolytopes:
+    def test_oracles_build_each_preset_once(self, monkeypatch):
+        built = []
+        init = DelzantPolytope.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DelzantPolytope, "__init__", counting_init)
+        spaces._oracle_polytope.cache_clear()
+        for _ in range(3):
+            _oracle_outputs()
+        assert len(built) == len({name for name, _, _ in ORACLE_CASES})
+        # preset itself still hands out a fresh polytope on every call
+        assert preset("cp2") is not preset("cp2")
+        assert len(built) == len({name for name, _, _ in ORACLE_CASES}) + 2
+
+    def test_oracle_outputs_unchanged(self, monkeypatch):
+        memoized = _oracle_outputs()
+        monkeypatch.setattr(spaces, "_oracle_polytope", preset)
+        assert memoized == _oracle_outputs()
+
+    def test_oracles_keep_their_interior_check(self):
+        for _ in range(2):
+            with pytest.raises(NotInterior):
+                oracle_orbit("cp2", (1, 1))
+            with pytest.raises(NotInterior):
+                oracle_monodromy("c_x_s2", (-1, 0))
+        with pytest.raises(UnknownPreset):
+            oracle_orbit("cp3", (0, 0))
