@@ -326,6 +326,46 @@ ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
 
 
+class Grid(dict):
+    """The scalars (a + b*sqrt(D)) / c of one denominator c and field D.
+
+    A vector (s_1, ..., s_m) on the grid packs to the row of 2m ints
+    (a_1, ..., a_m, b_1, ..., b_m).  Equal vectors pack to equal rows, sums
+    and integer multiples are those of the rows, and the sign of s_k is
+    `_sign(row[k], row[m + k], D)`.  As a dict the grid maps each pair
+    (a, b) it has unpacked to its scalar, so each is built once.
+    """
+
+    def __init__(self, *vectors):
+        """The coarsest grid holding every scalar of the given vectors;
+        ValueError when they mix two quadratic fields."""
+        c = D = 1
+        for vector in vectors:
+            for s in vector:
+                c = math.lcm(c, s.c)
+                if s.D != D:
+                    D = _join(D, s.D)
+        self.c = c
+        self.D = D
+
+    def __missing__(self, ab):
+        s = self[ab] = _make(*ab, self.c, self.D)
+        return s
+
+    def holds(self, vector) -> bool:
+        return all(self.c % s.c == 0 and s.D in (1, self.D) for s in vector)
+
+    def pack(self, vector) -> tuple:
+        c = self.c
+        scales = [c // s.c for s in vector]
+        return tuple([s.a * k for s, k in zip(vector, scales)]
+                     + [s.b * k for s, k in zip(vector, scales)])
+
+    def unpack(self, row) -> tuple:
+        m = len(row) // 2
+        return tuple(map(self.__getitem__, zip(row[:m], row[m:])))
+
+
 def scalar(rat, quad=0, D=1) -> ExactScalar:
     """Convenience constructor, accepting ints, Fractions or '1/2' strings."""
     return ExactScalar(rat, quad, D)

@@ -493,7 +493,8 @@ class _AffineFamily:
                     return A, None
                 ints.append(q)
             out.append(tuple(ints))
-        if lattice.mat_mul(out, self.xi_rest) != _rows(v, N * N + n * n, n, m):
+        # with every column in J (cn(n)) there is nothing left to check
+        if m and lattice.mat_mul(out, self.xi_rest) != _rows(v, N * N + n * n, n, m):
             return A, None
         return A, tuple(out)
 

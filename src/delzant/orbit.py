@@ -6,6 +6,12 @@ by their exact coordinates, so the search is sound; window and size caps
 make it finite, and `truncated` records whether any cap was hit.  Points
 one step outside the window are still expanded (a single shell), since
 orbits can re-enter the window from outside.
+
+A move adds (l_exit - l_entry) * v to a point and (l_exit - l_entry) * p to
+its distances, so the whole orbit lies on one `lattice.Grid`: the common
+denominator c and field D of the root, its distances and the window.  The
+search runs on packed rows of ints over that grid and builds scalars,
+probes and moves once each, for the graph it returns.
 """
 
 from __future__ import annotations
@@ -13,10 +19,12 @@ from __future__ import annotations
 import operator
 from collections import deque
 from dataclasses import dataclass, field
+from operator import add, mul
 from typing import Optional
 
 from . import probe as probe_mod
 from .errors import DimensionMismatch, NotInterior
+from .lattice import ExactScalar, Grid, _sign
 from .polytope import DelzantPolytope, as_point, in_window, point_str
 
 
@@ -108,71 +116,115 @@ def explore(
     the frontier is FIFO.  Nodes are the stored (in-window) points; edges
     connect stored points only, but parent chains may run through the
     one-shell frontier outside the window.  Every reached point carries
-    its distance vector, from which `ProbeSolver` finds its probes.
+    its packed distance vector, from which `ProbeSolver` finds its probes.
 
     With a `target`, the search stops at the point it looks for: it returns
     as soon as the target is reached (its parent recorded), with the graph
     found so far marked `truncated`.  BFS fixes a point's parent chain when
     it first reaches the point, so `path_to(target)` is that of the full
-    search; a target never reached leaves the full graph.
+    search; a target never reached (or off the grid) leaves the full graph.
     """
     _check_window(poly, params)
     f = poly.fibre(x)
     root = f.point
     if not params.in_window(root):
         raise NotInterior(f"root {point_str(root)} lies outside the window")
+    solver = probe_mod.solver(poly, params.max_norm)
+    # (coordinate, bound, the sign of coordinate - bound outside the window)
+    bounds = [
+        (k, ExactScalar.of(bound), out)
+        for k, pair in enumerate(params.window or ())
+        for bound, out in zip(pair, (-1, 1))
+        if bound is not None
+    ]
+    grid = Grid(root, f.ell, [bound for _, bound, _ in bounds])
+    D = grid.D
+    n, N = poly.dim, poly.nfacets
+    window = [(k, n + k, *grid.pack((bound,)), out) for k, bound, out in bounds]
+    goal = None
     if target is not None:
         target = as_point(target)
-    solver = probe_mod.solver(poly, params.max_norm)
-    nodes = [root]
+        if len(target) == n and grid.holds(target):
+            goal = grid.pack(target)
+    # per point id, in discovery order: [packed point, packed distances,
+    # inside the window, depth, queued, parent move (u, v, hit) on ids]
+    records = [[grid.pack(root), grid.pack(f.ell), True, 0, True, None]]
+    ids = {records[0][0]: 0}
+    nodes = [0]
     edges = []
     edge_keys = set()
-    parents = {}
-    # point -> [distances, inside the window, depth, queued]; the depth is
-    # that of the first discovery
-    records = {root: [f.ell, True, 0, True]}
     truncated = False
-    queue = deque([root])
+    queue = deque([0])
     while queue:
         u = queue.popleft()
-        ell_u, inside_u, depth_u, _ = records[u]
+        x_u, ell_u, inside_u, depth_u, _, _ = records[u]
         if depth_u >= params.max_depth:
             truncated = True
             continue
-        for hit in solver.hits(ell_u):
-            v = solver.partner(u, hit)
+        for hit in solver.hits(ell_u, D):
+            d, entry, exit_ = hit
+            sa = ell_u[exit_] - ell_u[entry]
+            sb = ell_u[N + exit_] - ell_u[N + entry]
+            row = tuple(map(add, x_u, map(mul, d.vv, (sa,) * n + (sb,) * n)))
+            v = ids.get(row)
             move = None
-            rec = records.get(v)
-            if rec is None:
-                inside = params.in_window(v)
+            if v is None:
+                inside = all(_sign(row[k] - a, row[j] - b, D) != out
+                             for k, j, a, b, out in window)
                 if inside and len(nodes) >= params.max_points:
                     truncated = True
                     continue
-                ell_v = solver.partner_ell(ell_u, hit)
-                if any(c.sign() <= 0 for c in ell_v):
-                    raise NotInterior(f"partner {point_str(v)} left the open polytope")
-                rec = records[v] = [ell_v, inside, depth_u + 1, inside]
-                move = _move(solver, u, v, hit)
-                parents[v] = (u, move)
-                if target is not None and v == target:
-                    return OrbitGraph(root, nodes, edges, True, parents)
+                ell_v = tuple(map(add, ell_u, map(mul, d.pp, (sa,) * N + (sb,) * N)))
+                if min(map(_sign, ell_v[:N], ell_v[N:], (D,) * N)) <= 0:
+                    raise NotInterior(f"partner {point_str(grid.unpack(row))}"
+                                      " left the open polytope")
+                v = ids[row] = len(records)
+                move = (u, v, hit)
+                records.append([row, ell_v, inside, depth_u + 1, inside, move])
+                if row == goal:
+                    return _graph(poly, grid, solver, records, nodes, edges, True)
                 if inside:
                     nodes.append(v)
                     queue.append(v)
                 else:
                     truncated = True
-            if inside_u and not rec[1] and not rec[3]:
+            rec = records[v]
+            if inside_u and not rec[2] and not rec[4]:
                 # one shell only: expand out-of-window points once they are
                 # reached from inside, never chains of them
                 queue.append(v)
-                rec[3] = True
-            if inside_u and rec[1]:
-                d, _, entry, _, exit_ = hit
+                rec[4] = True
+            if inside_u and rec[2]:
                 key = edge_key(u, v, d.v, entry, exit_)
                 if key not in edge_keys:
                     edge_keys.add(key)
-                    edges.append(move or _move(solver, u, v, hit))
-    return OrbitGraph(root, nodes, edges, truncated, parents)
+                    edges.append(move or (u, v, hit))
+    return _graph(poly, grid, solver, records, nodes, edges, truncated)
+
+
+def _graph(poly, grid, solver, records, nodes, edges, truncated):
+    """The OrbitGraph of a search on point ids: each reached point becomes
+    scalars once, and each recorded move a ProbeMove once."""
+    points = [grid.unpack(rec[0]) for rec in records]
+    moves = {}
+
+    def build(move):
+        built = moves.get(move)
+        if built is None:
+            u, v, hit = move
+            x, ell = records[u][:2]
+            built = moves[move] = ProbeMove(
+                probe_mod.build_probe(poly.facets, grid, x, ell, hit),
+                points[u], points[v], solver.involution(hit),
+            )
+        return built
+
+    parents = {}
+    for rec in records[1:]:
+        move = rec[5]
+        parents[points[move[1]]] = (points[move[0]], build(move))
+    return OrbitGraph(points[0], [points[i] for i in nodes],
+                      [build(move) for move in edges], truncated, parents)
 
 
 def _check_window(poly, params):
@@ -182,10 +234,6 @@ def _check_window(poly, params):
         raise DimensionMismatch(
             f"window of length {len(window)} in dim {poly.dim}"
         )
-
-
-def _move(solver, u, v, hit):
-    return ProbeMove(solver.probe(u, hit), u, v, solver.involution(hit))
 
 
 def replay_path(x, path) -> tuple:

@@ -4,6 +4,11 @@ A probe is an oriented segment through the polytope whose two endpoints
 hit facet interiors with pairing +1 (entry) and -1 (exit) against the
 primitive direction.  Orientation is fixed at construction, so the
 involution I + (xi' - xi) v^T is well defined.
+
+Probes are found on ints: `_end` compares the times l_i / |p_i| at which a
+ray meets its facets on l(x) packed on one `lattice.Grid`.  Only hits with
+|p_i| = 1 are probes, so a probe's times are distances l_i and its partner
+stays on the grid; scalars are built only for the `SymmetricProbe` returned.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from operator import mul, sub
 
 from . import lattice
 from .errors import (
@@ -20,7 +26,7 @@ from .errors import (
     NotTransverse,
     UnboundedRay,
 )
-from .lattice import ExactScalar
+from .lattice import ExactScalar, Grid, _sign
 from .polytope import DelzantPolytope, as_point, point_str
 
 
@@ -62,16 +68,21 @@ class _Direction:
 
     Along x + s*v the distances move as l_i + s*p_i, so the ray +v meets the
     facets with p_i < 0 (`exits`) and the ray -v those with p_i > 0
-    (`entries`); each side lists (i, |p_i|).
+    (`entries`); each side lists (i, N + i, |p_i|), the positions of l_i in
+    a packed row of N distances and the rate at which the ray closes in.
     """
 
-    __slots__ = ("v", "pairing", "exits", "entries")
+    __slots__ = ("v", "pairing", "vv", "pp", "exits", "entries")
 
     def __init__(self, v, normals):
         self.v = v
         self.pairing = tuple(lattice.dot(v, n) for n in normals)
-        self.exits = tuple((i, -p) for i, p in enumerate(self.pairing) if p < 0)
-        self.entries = tuple((i, p) for i, p in enumerate(self.pairing) if p > 0)
+        # v and p twice, to scale both halves of a packed row at once
+        self.vv = v + v
+        self.pp = self.pairing + self.pairing
+        N = len(normals)
+        self.exits = tuple((i, N + i, -p) for i, p in enumerate(self.pairing) if p < 0)
+        self.entries = tuple((i, N + i, p) for i, p in enumerate(self.pairing) if p > 0)
 
     def may_probe(self) -> bool:
         """False when no interior point has a probe along v.
@@ -80,51 +91,48 @@ class _Direction:
         at pairing other than +-1 is non-transverse everywhere.
         """
         return all(
-            len(side) > 1 or (len(side) == 1 and side[0][1] == 1)
+            len(side) > 1 or (len(side) == 1 and side[0][2] == 1)
             for side in (self.exits, self.entries)
         )
 
 
-def _end(ell, d, side):
-    """(t, i): from the point with distances ell, the ray along one side of d
-    meets facet i first, after t units of v.
+def _end(ell, d, side, D):
+    """The facet i that the ray along one side of d meets first, from the
+    point whose distances over Q(sqrt(D)) are the packed row `ell`.
 
-    `side` is d.exits or d.entries and must not be empty.  Raises
-    HitsLowerFace when facets tie and NotTransverse when <v, xi_i> != +-1.
+    `side` is d.exits or d.entries and must not be empty.  Facet i is met
+    after l_i / |p_i| units of v, and two such times compare by the sign of
+    l_i |p_j| - l_j |p_i|.  Raises HitsLowerFace when facets tie and
+    NotTransverse when <v, xi_i> != +-1, so the time of the returned facet
+    is l_i.
     """
-    best_t = None
-    best = []
-    for i, p in side:
-        t = ell[i] if p == 1 else ell[i] / p
-        s = -1 if best_t is None else (t - best_t).sign()
+    sides = iter(side)
+    i, j, p = next(sides)
+    a, b, best = ell[i], ell[j], [i]
+    for k, m, q in sides:
+        if q == p:
+            s = _sign(ell[k] - a, ell[m] - b, D)
+        else:
+            s = _sign(ell[k] * p - a * q, ell[m] * p - b * q, D)
         if s < 0:
-            best_t, best = t, [i]
+            a, b, p, best = ell[k], ell[m], q, [k]
         elif s == 0:
-            best.append(i)
+            best.append(k)
     if len(best) > 1:
         raise HitsLowerFace(f"probe endpoint lies on facets {best} simultaneously")
     i = best[0]
-    if abs(d.pairing[i]) != 1:
+    if p != 1:
         raise NotTransverse(f"pairing <v, xi_{i}> = {d.pairing[i]} at the hit facet")
-    return best_t, i
-
-
-def _shift(x, s, v):
-    """x + s*v for an integer vector v."""
-    neg = -s
-    return tuple(
-        c if k == 0 else c + s if k == 1 else c + neg if k == -1 else c + s * k
-        for c, k in zip(x, v)
-    )
+    return i
 
 
 class ProbeSolver:
     """Symmetric probes of one polytope along the directions up to a sup-norm cap.
 
-    Works on the distance vector l(x): the pairing row of every direction is
-    computed once, the endpoints follow from l(x) alone, and the partner's
-    distances are l + (t_+ - t_-) * p, so no point is checked again from
-    its coordinates.
+    Works on the packed distance row of l(x): the pairing row of every
+    direction is computed once, the endpoints follow from l(x) alone, and
+    the partner's distances are l + (l_exit - l_entry) * p, so no point is
+    checked again from its coordinates.
     """
 
     def __init__(self, poly: DelzantPolytope, max_norm: int):
@@ -138,38 +146,24 @@ class ProbeSolver:
         ]
         self._involutions = {}
 
-    def hits(self, ell):
-        """(direction, t_-, entry facet, t_+, exit facet) of every probe through
-        the point with distances `ell`, in canonical direction order."""
+    def hits(self, ell, D):
+        """(direction, entry facet, exit facet) of every probe through the
+        point with the packed distances `ell` over Q(sqrt(D)), in canonical
+        direction order.  The probe runs l_entry units of v back from the
+        point and l_exit units forward."""
         out = []
         for d in self.directions:
             try:
-                t_plus, exit_ = _end(ell, d, d.exits)
-                t_minus, entry = _end(ell, d, d.entries)
+                exit_ = _end(ell, d, d.exits, D)
+                entry = _end(ell, d, d.entries, D)
             except (HitsLowerFace, NotTransverse):
                 continue
-            out.append((d, t_minus, entry, t_plus, exit_))
+            out.append((d, entry, exit_))
         return out
-
-    def probe(self, x, hit) -> SymmetricProbe:
-        d, t_minus, entry, t_plus, exit_ = hit
-        return _make_probe(self.facets, x, d.v, t_minus, entry, t_plus, exit_)
-
-    @staticmethod
-    def partner(x, hit):
-        """The partner point x + (t_+ - t_-) * v."""
-        d, t_minus, _, t_plus, _ = hit
-        return _shift(x, t_plus - t_minus, d.v)
-
-    @staticmethod
-    def partner_ell(ell, hit):
-        """The partner's distances l + (t_+ - t_-) * p."""
-        d, t_minus, _, t_plus, _ = hit
-        return _shift(ell, t_plus - t_minus, d.pairing)
 
     def involution(self, hit):
         """The involution matrix of the probe, cached per (v, entry, exit)."""
-        d, _, entry, _, exit_ = hit
+        d, entry, exit_ = hit
         key = (d.v, entry, exit_)
         matrix = self._involutions.get(key)
         if matrix is None:
@@ -188,16 +182,30 @@ def solver(poly: DelzantPolytope, max_norm: int) -> ProbeSolver:
     return cached
 
 
-def _make_probe(facets, x, v, t_minus, entry, t_plus, exit_):
+def build_probe(facets, grid, x, ell, hit) -> SymmetricProbe:
+    """The SymmetricProbe of `hit` through the point with packed coordinates
+    x and packed distances ell on `grid`."""
+    d, entry, exit_ = hit
+    n, N = len(x) // 2, len(ell) // 2
+    ta, tb = ell[entry], ell[N + entry]
+    start = map(sub, x, map(mul, d.vv, (ta,) * n + (tb,) * n))
+    (length,) = grid.unpack((ta + ell[exit_], tb + ell[N + exit_]))
     return SymmetricProbe(
-        direction=v,
+        direction=d.v,
         entry_facet=entry,
         exit_facet=exit_,
-        entry_point=_shift(x, -t_minus, v),
-        length=t_minus + t_plus,
+        entry_point=grid.unpack(tuple(start)),
+        length=length,
         entry_normal=facets[entry].normal,
         exit_normal=facets[exit_].normal,
     )
+
+
+def _packed(poly, x):
+    """(grid, packed coordinates, packed distances) of the Fibre over x."""
+    f = poly.fibre(x)
+    grid = Grid(f.point, f.ell)
+    return grid, grid.pack(f.point), grid.pack(f.ell)
 
 
 def shoot(poly: DelzantPolytope, x, v) -> SymmetricProbe:
@@ -207,7 +215,7 @@ def shoot(poly: DelzantPolytope, x, v) -> SymmetricProbe:
     (else the endpoint lies on a lower-dimensional face) and must pair to
     +-1 with v (integral transversality).
     """
-    f = poly.fibre(x)
+    grid, row, ell = _packed(poly, x)
     v = tuple(map(operator.index, v))
     if not lattice.is_primitive(v):
         raise NotPrimitive(f"direction {v} is not primitive")
@@ -215,12 +223,14 @@ def shoot(poly: DelzantPolytope, x, v) -> SymmetricProbe:
 
     def end(side, label):
         if not side:
-            raise UnboundedRay(f"ray {label} from {point_str(f.point)} never exits")
-        return _end(f.ell, d, side)
+            raise UnboundedRay(
+                f"ray {label} from {point_str(grid.unpack(row))} never exits"
+            )
+        return _end(ell, d, side, grid.D)
 
-    t_plus, exit_idx = end(d.exits, "+v")
-    t_minus, entry_idx = end(d.entries, "-v")
-    return _make_probe(poly.facets, f.point, v, t_minus, entry_idx, t_plus, exit_idx)
+    exit_ = end(d.exits, "+v")
+    entry = end(d.entries, "-v")
+    return build_probe(poly.facets, grid, row, ell, (d, entry, exit_))
 
 
 def probe_parameter(sigma: SymmetricProbe, x):
@@ -285,6 +295,7 @@ def canonical_directions(dim: int, max_norm: int):
 
 def enumerate_probes(poly: DelzantPolytope, x, max_norm: int):
     """All symmetric probes through x with direction sup-norm <= max_norm."""
-    f = poly.fibre(x)
+    grid, row, ell = _packed(poly, x)
     probe_solver = solver(poly, max_norm)
-    return [probe_solver.probe(f.point, hit) for hit in probe_solver.hits(f.ell)]
+    return [build_probe(poly.facets, grid, row, ell, hit)
+            for hit in probe_solver.hits(ell, grid.D)]

@@ -390,6 +390,21 @@ def test_bijections_without_hits_make_only_the_products(monkeypatch):
     assert infeasible == 5
 
 
+def test_no_kernel_check_without_columns_outside_the_frame(monkeypatch):
+    """On cn(4) every column lies in the frame J, so a hit makes no product
+    for the kernel check: the largest benchmark query keeps its outcome and
+    makes fewer matrix products than it has solutions."""
+    poly, x, y = preset("cn(4)"), (1, 2, 3, 4), (2, 1, 3, 4)
+    want = solve_ambient(poly, x, y, 3)
+    calls = []
+    mat_mul = lattice.mat_mul
+    monkeypatch.setattr(lattice, "mat_mul", lambda A, B: calls.append(1) or mat_mul(A, B))
+    got = solve_ambient(poly, x, y, 3)
+    assert got.to_json() == want.to_json()
+    assert len(got.solutions) == 3514
+    assert len(calls) < len(got.solutions)
+
+
 def _probe_matrices(poly, x, y, rng):
     """Up to 30 solutions, each also with one entry moved by +-1, and small
     random matrices: induced maps that exist, are not integral or fail the

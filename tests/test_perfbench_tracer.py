@@ -41,3 +41,21 @@ def test_every_traced_attribute_exists_and_is_restored(bench):
     finally:
         t.remove()
     assert all(owner.__dict__[attr] is f for (owner, attr), f in zip(targets, originals))
+
+
+def test_harvest_finds_operands_for_every_scalar_kernel(bench):
+    """`perfbench/run.py --trace 1` times scalar add/mul/compare on operand
+    pairs that `harvest` records while a √2 explore and rational decides
+    run; a kernel left without pairs makes the traced run report
+    `correct: false`.  The √2 pairs come from the root's distance vector
+    and window check, which stay in ExactScalar."""
+    _, lib = bench
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import run
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    pairs = run.harvest(lib)
+    assert set(pairs) == {(op, kind) for op in run.MICRO_OPS for kind in ("sqrt2", "q")}
+    empty = sorted(key for key, found in pairs.items() if not found)
+    assert not empty, f"harvest found no operand pairs for {empty}"
