@@ -14,9 +14,11 @@ involutions on tuples, so words reverse move by move.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 
+from . import lattice
 from .errors import (
     LengthMismatch,
     NonPositiveEntry,
@@ -135,8 +137,8 @@ def _apply(state, move, index):
     state[i], state[j], state[k] = ak, aj + ak - ai, ai
 
 
-def _probe_check(state, move):
-    """Replay one move through shoot/partner in the orthant."""
+def _probe_check(state, after, move):
+    """Check that the move takes state to after as its orthant probe does."""
     from . import probe as probe_mod
 
     n = len(state)
@@ -149,33 +151,23 @@ def _probe_check(state, move):
     else:
         v[move.i], v[move.j], v[move.k] = 1, 1, -1
     sigma = probe_mod.shoot(orthant, state, tuple(v))
-    expected = probe_mod.partner(sigma, state)
-    after = list(state)
-    _apply(after, move, -1)
-    assert tuple(after) == expected, "move formula disagrees with the probe"
+    assert after == probe_mod.partner(sigma, state), "move formula disagrees with the probe"
 
 
-_ORTHANTS = {}
-
-
+@functools.cache
 def _orthant(n):
-    if n not in _ORTHANTS:
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = 1
-        _ORTHANTS[n] = DelzantPolytope(n, [(tuple(r), 0) for r in rows])
-    return _ORTHANTS[n]
+    return DelzantPolytope(n, [(e, 0) for e in lattice.identity(n)])
 
 
 def replay(values, word: ProbeWord, cross_check: bool = True):
-    """Apply a move word, optionally verifying each move against a probe."""
+    """Apply a move word, optionally verifying each move against a probe;
+    a move that breaks its precondition raises before it is shot."""
     state = list(_positive(values))
     for index, move in enumerate(word.moves):
-        if cross_check:
-            before = tuple(state)
-            _apply(list(state), move, index)  # raise before shooting
-            _probe_check(before, move)
+        before = tuple(state)
         _apply(state, move, index)
+        if cross_check:
+            _probe_check(before, tuple(state), move)
     return tuple(state)
 
 
@@ -205,22 +197,22 @@ def _euclid_word(values):
     word = _sort_word(state)
     d = state[0]
     while True:
-        excesses = [(v - d, idx) for idx, v in enumerate(state) if v != d]
-        if not excesses:
+        # excesses v - d order as the entries do; ties go to the first index
+        others = [idx for idx, v in enumerate(state) if v != d]
+        if not others:
             break
-        values_only = [e for e, _ in excesses]
-        lo = min(values_only)
-        hi = max(values_only)
-        if lo == hi:
+        i = min(others, key=state.__getitem__)
+        j = max(others, key=state.__getitem__)
+        if state[i] == state[j]:
             break
-        i = next(idx for e, idx in excesses if e == lo)
-        j = next(idx for e, idx in excesses if e == hi)
-        k = next(idx for idx, v in enumerate(state) if v == d)
-        move = Elswap(i, j, k)
+        move = Elswap(i, j, state.index(d))
         _apply(state, move, -1)
         word.append(move)
     word.extend(_sort_word(state))
     return word, tuple(state)
+
+
+_WORD_SEARCH_CAP = 20000
 
 
 def _bfs_word(a, b, cap):
@@ -265,7 +257,7 @@ def _bfs_word(a, b, cap):
     raise WordSearchExhausted("search space exhausted without reaching the target")
 
 
-def probe_word(a, b, search_cap: int = 20000) -> ProbeWord:
+def probe_word(a, b) -> ProbeWord:
     """A move word with replay(a, word) == b, for equivalent tuples.
 
     Rational excess lattices go through the subtractive-Euclid canonical
@@ -297,6 +289,6 @@ def probe_word(a, b, search_cap: int = 20000) -> ProbeWord:
         assert canon_a == canon_b, "equivalent tuples share the canonical form"
         word = ProbeWord(tuple(word_a + list(reversed(word_b))))
     else:
-        word = ProbeWord(tuple(_bfs_word(va, vb, search_cap)))
+        word = ProbeWord(tuple(_bfs_word(va, vb, _WORD_SEARCH_CAP)))
     assert replay(va, word, cross_check=False) == vb
     return word

@@ -25,6 +25,7 @@ from .errors import (
     NotDelzant,
     NotPlanar,
     ParseError,
+    ValidationError,
     WordSearchExhausted,
 )
 from .lattice import ExactScalar
@@ -37,9 +38,10 @@ _KIND_CODES = {
     "equivalent": 0, "distinct": 1, "unknown": 3,
 }
 
+# a denominator is a positive integer, so 1/0 is a parse error
 _SCALAR_RE = re.compile(
-    r"^(?P<rat>-?\d+(?:/\d+)?)"
-    r"(?:(?P<sign>[+-])(?P<quad>\d+(?:/\d+)?)(?:√|sqrt)(?P<disc>\d+))?$"
+    r"^(?P<rat>-?\d+(?:/0*[1-9]\d*)?)"
+    r"(?:(?P<sign>[+-])(?P<quad>\d+(?:/0*[1-9]\d*)?)(?:√|sqrt)(?P<disc>\d+))?$"
 )
 
 
@@ -109,7 +111,7 @@ def polytope_from_data(data, source="<data>") -> DelzantPolytope:
                 else ExactScalar.of(offset)
             )
             facets.append((normal, offset))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{source}: malformed polytope data ({exc})")
     return DelzantPolytope(dim, facets, disc)
 
@@ -244,6 +246,8 @@ def _cmd_lift(args):
 
 def _cmd_chekanov(args):
     disc = args.field
+    if not lattice.is_squarefree(disc):
+        raise ValidationError(f"field D = {disc} is not square-free and >= 1")
     a = parse_point(args.tuple, disc)
     red = chekanov.reduce(a)
     payload = {"reduced": red.to_json(), "gamma": chekanov.gamma(a).to_json()}
@@ -485,30 +489,19 @@ def build_parser():
     return parser
 
 
-_VALUE_FLAGS = frozenset(
-    {
-        "--point", "--dir", "--from", "--to", "--window", "--slice", "--tuple",
-        "--probes-at", "--orbit-of",
-    }
-)
-
-
 def _normalize_argv(argv):
-    """Glue values onto their flags so leading-dash values parse.
-
-    Lets invocations like ``--point -1/2,-1/5`` or
-    ``--window -3..3,-1..1`` through argparse unchanged.
+    """Glue a token that starts with ``-`` and a digit or ``.`` onto the
+    ``--option`` just before it, so that ``--point -1/2,-1/5`` or
+    ``--window -3..3,-1..1`` parse; after a bare ``--`` nothing is glued.
     """
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and "=" not in prev and "--" not in out
+                and re.match(r"-[\d.]", tok)):
+            out[-1] = f"{prev}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 

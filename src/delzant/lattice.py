@@ -323,7 +323,6 @@ def _make(a, b, c, D):
 
 
 ZERO = ExactScalar(0)
-ONE = ExactScalar(1)
 
 
 class Grid(dict):
@@ -657,22 +656,17 @@ class GammaLattice:
     Viewed as a lattice in Q^2 over the basis {1, sqrt(D)} and stored in
     the canonical form (den, basis): basis is the integer column HNF of
     den * G and gcd(den, entries) = 1, so equal subgroups compare equal.
+    Generators from two quadratic fields raise `Grid`'s ValueError.
     """
 
     __slots__ = ("den", "basis", "D")
 
     def __init__(self, generators):
         gens = [ExactScalar.of(g) for g in generators]
-        D = 1
-        for g in gens:
-            if g.D != 1:
-                if D != 1 and g.D != D:
-                    raise ValueError("mixed quadratic fields in one subgroup")
-                D = g.D
-        self.D = D
-        den = math.lcm(*(g.c for g in gens))
-        vecs = [(g.a * (den // g.c), g.b * (den // g.c)) for g in gens]
-        basis = hnf_basis(vecs)
+        grid = Grid(gens)
+        self.D, den, m = grid.D, grid.c, len(gens)
+        row = grid.pack(gens)
+        basis = hnf_basis(zip(row[:m], row[m:]))
         g = den
         for v in basis:
             for x in v:

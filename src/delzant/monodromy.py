@@ -24,8 +24,7 @@ from typing import Optional
 from . import lattice
 from .errors import BaseNotInGraph, DimensionMismatch, NotReductionType
 from .lattice import ExactScalar
-from .orbit import OrbitGraph
-from .polytope import DelzantPolytope
+from .polytope import DelzantPolytope, as_point
 
 
 @dataclass(frozen=True)
@@ -34,10 +33,6 @@ class MatrixGroup:
     elements: tuple          # closure, complete iff not truncated
     truncated: bool
     cap: int
-
-    @property
-    def order(self) -> Optional[int]:
-        return None if self.truncated else len(self.elements)
 
     def to_json(self):
         return {
@@ -93,15 +88,13 @@ def mulclose(generators, cap: int) -> MatrixGroup:
     )
 
 
-def holonomy_group(graph: OrbitGraph, base, cap: int = 256) -> MatrixGroup:
+def holonomy_group(graph, base, cap: int = 256) -> MatrixGroup:
     """The subgroup of Aut H_1 generated by probe transports around cycles.
 
-    Builds a spanning tree of the orbit graph from the base point; each
-    non-tree edge (self-loops included) contributes the transport product
-    around its fundamental cycle.
+    Builds a spanning tree of the `orbit.OrbitGraph` from the base point;
+    each non-tree edge (self-loops included) contributes the transport
+    product around its fundamental cycle.
     """
-    from .polytope import as_point
-
     _check_cap(cap)
     base = as_point(base)
     node_set = set(graph.nodes)
@@ -173,10 +166,7 @@ class AmbientOutcome:
             "kind": self.kind,
             "bound": self.bound,
             "solutions": [s.to_json() for s in self.solutions],
-            "certificates": [
-                c.to_json() if hasattr(c, "to_json") else c
-                for c in self.certificates
-            ],
+            "certificates": list(self.certificates),
         }
 
 
@@ -371,21 +361,17 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
     return AmbientOutcome("infeasible", (), tuple(certificates), bound)
 
 
-def _scaled(nums, dens):
-    """The rationals nums[i] / dens[i] times the lcm of their reduced
-    denominators, as ints."""
-    den = math.lcm(*(c // math.gcd(a, c) for a, c in zip(nums, dens)))
-    return [a * den // c for a, c in zip(nums, dens)]
-
-
 def _ambient_system(lx, ly, h2, free, fixed_cols, N):
     """Integer rows/rhs of the affine system in the free column entries.
 
     Each free column i has a Maslov row and two area rows, one for the
-    rational parts a/c and one for the sqrt(D) parts b/c of the distances,
-    each scaled by the lcm of its reduced denominators.  A row that
-    vanishes together with its rhs is dropped.
+    rational and one for the sqrt(D) parts of the distances packed on one
+    `lattice.Grid` of denominator C.  Dividing an area row, rhs included,
+    by the gcd of C and its entries scales its rationals by the lcm of
+    their reduced denominators.  A row that vanishes with its rhs is dropped.
     """
+    grid = lattice.Grid(lx, ly)
+    px, py = grid.pack(lx), grid.pack(ly)
     width = len(free) * N
     rows, rhs = [], []
 
@@ -399,12 +385,11 @@ def _ambient_system(lx, ly, h2, free, fixed_cols, N):
         row = [0] * width
         row[block] = [1] * N
         add(row, 1)
-        values = (*ly, lx[i])
-        for nums in ([v.a for v in values], [v.b for v in values]):
-            *entries, b = _scaled(nums, [v.c for v in values])
+        for entries, b in ((py[:N], px[i]), (py[N:], px[N + i])):
+            g = math.gcd(grid.c, b, *entries)
             row = [0] * width
-            row[block] = entries
-            add(row, b)
+            row[block] = [e // g for e in entries]
+            add(row, b // g)
     for r in h2:
         for j in range(N):
             row = [0] * width

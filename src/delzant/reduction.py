@@ -57,10 +57,6 @@ class AffineSlice:
             return [tuple(row) for row in lattice.identity(n)]
         return lattice.kernel_lattice(tuple(annihilator))
 
-    @property
-    def codim(self):
-        return len(self.base) - len(self.dirs)
-
     def lift(self, t):
         """Slice coordinates t -> ambient point base + sum t_j w_j."""
         t = as_point(t)
@@ -201,19 +197,14 @@ def reduce(poly: DelzantPolytope, sl: AffineSlice) -> ReductionResult:
             continue
         seen.add((eta, c))
         candidates.append((i, eta, c))
-    kept = list(candidates)
-    changed = True
-    while changed:
-        changed = False
-        for idx, (i, eta, c) in enumerate(kept):
-            others = [
-                (e, cc, False) for j, (ii, e, cc) in enumerate(kept) if j != idx
-            ]
-            violating = others + [(tuple(-x for x in eta), -c, True)]
-            if lattice.fm_witness(violating, len(sl.dirs)) is None:
-                kept.pop(idx)
-                changed = True
-                break
+    # a point violating a necessary facet and satisfying the others still
+    # does once others are dropped, so one pass finds every redundant facet
+    kept = []
+    for idx, (i, eta, c) in enumerate(candidates):
+        others = [(e, cc, False) for _, e, cc in kept + candidates[idx + 1:]]
+        violating = others + [(tuple(-x for x in eta), -c, True)]
+        if lattice.fm_witness(violating, len(sl.dirs)) is not None:
+            kept.append((i, eta, c))
     for i, eta, c in kept:
         if not lattice.is_primitive(eta):
             raise InducedNotPrimitive(

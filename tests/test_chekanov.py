@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delzant import as_point, scalar
+from delzant import as_point, chekanov, probe, scalar
 from delzant.chekanov import (
     Elswap,
     ProbeWord,
@@ -222,6 +222,74 @@ class TestReplay:
             for i, j, k in itertools.permutations(range(3)):
                 if a[i] < a[j]:
                     replay(a, ProbeWord((Elswap(i, j, k),)), cross_check=True)
+
+
+class TestReplayWork:
+    """A cross-checked replay applies each move once and shoots it once."""
+
+    def _counted(self, monkeypatch):
+        calls = {"apply": 0, "shoot": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(chekanov, "_apply", counting("apply", chekanov._apply))
+        monkeypatch.setattr(probe, "shoot", counting("shoot", probe.shoot))
+        return calls
+
+    def test_one_apply_and_one_shot_per_move(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        word = ProbeWord((Elswap(0, 1, 2), Swap(0, 2), Elswap(2, 1, 0), Swap(1, 2)))
+        assert replay((1, 2, 3), word) == as_point((3, 1, 2))
+        assert calls == {"apply": 4, "shoot": 4}
+        replay((1, 2, 3), word, cross_check=False)
+        assert calls == {"apply": 8, "shoot": 4}
+
+    def test_broken_second_move_raises_after_one_shot(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        # (1, 2, 3) -> (3, 4, 1), where a[0] < a[2] fails
+        word = ProbeWord((Elswap(0, 1, 2), Elswap(0, 2, 1)))
+        with pytest.raises(PreconditionViolated) as err:
+            replay((1, 2, 3), word)
+        assert err.value.index == 1
+        assert calls == {"apply": 2, "shoot": 1}
+
+
+# -- the Euclid loop as it was, over the excess list v - d --------------------
+
+
+def reference_euclid_word(values):
+    state = list(values)
+    word = chekanov._sort_word(state)
+    d = state[0]
+    while True:
+        excesses = [(v - d, idx) for idx, v in enumerate(state) if v != d]
+        if not excesses:
+            break
+        lo = min(e for e, _ in excesses)
+        hi = max(e for e, _ in excesses)
+        if lo == hi:
+            break
+        i = next(idx for e, idx in excesses if e == lo)
+        j = next(idx for e, idx in excesses if e == hi)
+        k = next(idx for idx, v in enumerate(state) if v == d)
+        move = Elswap(i, j, k)
+        chekanov._apply(state, move, -1)
+        word.append(move)
+    word.extend(chekanov._sort_word(state))
+    return word, tuple(state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from((1, 2, 3, Fraction(3, 2), Fraction(5, 2), 4, Fraction(7, 3))),
+                min_size=1, max_size=6))
+def test_euclid_word_matches_the_excess_loop(values):
+    # few distinct values, so equal excesses (ties) are common
+    values = as_point(values)
+    assert chekanov._euclid_word(values) == reference_euclid_word(values)
 
 
 class TestProbeWord:

@@ -42,6 +42,10 @@ class TestScalarGrammar:
             parse_scalar("1+1/2√2", 3)  # session field mismatch
         with pytest.raises(ParseError):
             parse_scalar("√2", 2)  # grammar requires a rational head
+        for zero_den in ("1/0", "-3/00", "1+1/0√2"):
+            with pytest.raises(ParseError):
+                parse_scalar(zero_den, 2)
+        assert parse_scalar("3/010") == scalar(Fraction(3, 10))
 
     def test_windows(self):
         w = parse_window("-3..3,-1..1")
@@ -133,6 +137,76 @@ class TestPolytopeFiles:
         code, out, err = run(capsys, "check", str(path))
         assert code == 2 and not out
         assert json.loads(err)["error"] == "ParseError"
+
+
+def _write(tmp_path, data):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("make_argv, error", [
+    (lambda tmp: ["invariants", "preset:cp2", "--point", "1/0,0"], "ParseError"),
+    (lambda tmp: ["invariants", "preset:cp2", "--point", "-1/2,1+1/0√2"], "ParseError"),
+    (lambda tmp: ["check", _write(tmp, {"dim": 1, "facets": [{"normal": [1], "offset": "1/0"}]})],
+     "ParseError"),
+    (lambda tmp: ["check", _write(tmp, {"dim": 1, "field": 2,
+                                        "facets": [{"normal": [1], "offset": "1"}]})],
+     "ParseError"),
+    (lambda tmp: ["chekanov", "--field", "4", "--tuple", "1,2"], "ValidationError"),
+    (lambda tmp: ["chekanov", "--field", "4", "--tuple", "1,1+1√4"], "ValidationError"),
+    (lambda tmp: ["chekanov", "--field", "0", "--tuple", "1,2"], "ValidationError"),
+], ids=["zero-denominator", "zero-denominator-quad", "json-zero-denominator", "field-not-object",
+        "field-4", "field-4-scalar", "field-0"])
+def test_malformed_input_names_a_library_error(make_argv, error, capsys, tmp_path):
+    # these once printed ZeroDivisionError, AttributeError and ValueError, or exited 0
+    code, out, err = run(capsys, *make_argv(tmp_path))
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == error
+
+
+def _value_options():
+    """(subcommand, option) for every option of every subcommand that takes a value."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    return [
+        (name, option)
+        for name, sub in commands.choices.items()
+        for action in sub._actions if action.nargs != 0
+        for option in action.option_strings
+    ]
+
+
+def test_value_options_are_found():
+    found = set(_value_options())
+    assert {("orbit", "--window"), ("chekanov", "--field"), ("render", "--orbit-of")} <= found
+    assert ("render", "--labels") not in found
+
+
+@pytest.mark.parametrize("command, option", _value_options())
+def test_negative_values_glue_onto_every_value_option(command, option):
+    for value in ("-1", "-1/2,-1/5", "-3..3,-1..1", "-.5"):
+        argv = [command, "preset:cp2", option, value, "--other", "-2"]
+        assert cli._normalize_argv(argv) == [
+            command, "preset:cp2", f"{option}={value}", "--other=-2"
+        ]
+
+
+def test_nothing_glues_after_a_bare_double_dash():
+    argv = ["check", "--", "-1.json"]
+    assert cli._normalize_argv(argv) == argv
+    argv = ["invariants", "--point", "-1/2,-1/5", "--", "-2"]
+    assert cli._normalize_argv(argv) == ["invariants", "--point=-1/2,-1/5", "--", "-2"]
+    # a glued option takes no second value, and words are never glued
+    assert cli._normalize_argv(["x", "--to=1", "-2", "--to", "preset:cp2"]) == [
+        "x", "--to=1", "-2", "--to", "preset:cp2"
+    ]
+
+
+def test_a_dashed_positional_after_double_dash_reaches_the_file_reader(capsys):
+    code, out, err = run(capsys, "check", "--", "-1.json")
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "ParseError" and "-1.json" in err
 
 
 # the errors that answer a question in the negative; every other error is usage

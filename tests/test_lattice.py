@@ -322,6 +322,13 @@ class TestGammaLattice:
                     mixed[i] = mixed[i] + k * mixed[j]
             assert GammaLattice(gens) == GammaLattice(mixed + gens)
 
+    def test_mixed_fields_raise_the_scalar_error(self):
+        # the field comes from lattice.Grid, which raises what scalar sums do
+        for gens in ([scalar(0, 1, 2), 1, scalar(1, 1, 3)], [scalar(1, 1, 5), scalar(0, 1, 2)]):
+            with pytest.raises(ValueError, match=r"^mixed quadratic fields sqrt\(\d\) and sqrt\(\d\)$"):
+                GammaLattice(gens)
+        assert GammaLattice([scalar(0, 1, 2), 1, scalar(1, 1, 2)]).D == 2
+
 
 class TestFourierMotzkin:
     def test_square(self):

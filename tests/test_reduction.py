@@ -6,14 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from delzant import AffineSlice, as_point, preset, scalar
+from delzant import AffineSlice, DelzantPolytope, as_point, lattice, preset, scalar
 from delzant.errors import (
+    InducedNotPrimitive,
     NormalsDoNotSpan,
     NotAdmissible,
+    NotDelzant,
+    SliceInsideFacet,
     SliceMissesPolytope,
 )
 from delzant.probe import enumerate_probes
 from delzant.reduction import (
+    _restricted_rows,
     admissible,
     delzant_lift,
     interval_length,
@@ -125,6 +129,69 @@ class TestReduce:
             downstairs = result.reduced.ell(t)
             for idx, origin in enumerate(result.facet_origin):
                 assert downstairs[idx] == upstairs[origin]
+
+
+# -- facet pruning as it was: restart after every drop --------------------------
+
+
+def restart_prune(candidates, k):
+    """The (index, eta, c) candidates left once every redundant one is dropped."""
+    kept = list(candidates)
+    changed = True
+    while changed:
+        changed = False
+        for idx, (i, eta, c) in enumerate(kept):
+            others = [
+                (e, cc, False) for j, (ii, e, cc) in enumerate(kept) if j != idx
+            ]
+            violating = others + [(tuple(-x for x in eta), -c, True)]
+            if lattice.fm_witness(violating, k) is None:
+                kept.pop(idx)
+                changed = True
+                break
+    return kept
+
+
+def _candidates(poly, sl):
+    """The facets of nonzero restricted normal, first of equal ones, as `reduce` keeps them."""
+    out, seen = [], set()
+    for i, (eta, c) in enumerate(_restricted_rows(poly, sl)):
+        if any(eta) and (eta, c) not in seen:
+            seen.add((eta, c))
+            out.append((i, eta, c))
+    return out
+
+
+_CUBE = DelzantPolytope(3, [(e, 1) for e in lattice.identity(3)]
+                        + [(tuple(-x for x in e), 1) for e in lattice.identity(3)])
+_CP3 = DelzantPolytope(3, [(e, 0) for e in lattice.identity(3)] + [((-1, -1, -1), 3)])
+
+
+def test_one_pass_prune_matches_the_restart_loop():
+    rng = random.Random(131)
+    polys = [preset(name) for name in ("cp2", "s2s2_monotone", "c_x_s2", "cn(3)", "c2_x_ts1")]
+    polys += [_CUBE, _CP3, preset("cp2").apply_affine(((2, 1), (1, 1)), (1, 0))]
+    compared = pruned = 0  # pruned: slices that drop two facets or more
+    for _ in range(300):
+        poly = rng.choice(polys)
+        n = poly.dim
+        dirs = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, n - 1))]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                sl = AffineSlice(sample_interior(poly, rng, box=1), dirs)
+            result = reduce(poly, sl)
+        except (ValueError, NotAdmissible, InducedNotPrimitive, NotDelzant, SliceInsideFacet):
+            continue
+        candidates = _candidates(poly, sl)
+        kept = restart_prune(candidates, len(sl.dirs))
+        assert result.facet_origin == tuple(i for i, _, _ in kept)
+        assert result.reduced.to_json() == DelzantPolytope(
+            len(sl.dirs), [(eta, c) for _, eta, c in kept], poly.field_disc
+        ).to_json()
+        compared += 1
+        pruned += len(candidates) - len(kept) >= 2
+    assert compared >= 100 and pruned >= 20, (compared, pruned)
 
 
 class TestDelzantLift:
