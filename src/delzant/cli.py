@@ -5,8 +5,8 @@ Delzant, infeasible, ...), 2 usage or parse error, 3 inconclusive.
 Verdict kinds map to codes in `_KIND_CODES`; an error's code is the
 `exit_code` attribute of its class in `delzant.errors` (1 for the negative
 answers, whose JSON goes to stdout; 2, on stderr, for all others).
-Scalars on the command line and in files use the grammar
-``INT | INT/INT | RAT+RAT√D | RAT-RAT√D`` (``sqrt`` is accepted for ``√``);
+Scalars on the command line and in files are read by `ExactScalar.of`,
+in the grammar ``INT | INT/INT | RAT+RAT√D | RAT-RAT√D`` of `lattice`;
 windows are comma-separated ``lo..hi`` ranges with ``*`` for unbounded.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import re
 import sys
 from fractions import Fraction
@@ -25,7 +24,6 @@ from .errors import (
     NotDelzant,
     NotPlanar,
     ParseError,
-    ValidationError,
     WordSearchExhausted,
 )
 from .lattice import ExactScalar
@@ -38,48 +36,28 @@ _KIND_CODES = {
     "equivalent": 0, "distinct": 1, "unknown": 3,
 }
 
-# a denominator is a positive integer, so 1/0 is a parse error
-_SCALAR_RE = re.compile(
-    r"^(?P<rat>-?\d+(?:/0*[1-9]\d*)?)"
-    r"(?:(?P<sign>[+-])(?P<quad>\d+(?:/0*[1-9]\d*)?)(?:√|sqrt)(?P<disc>\d+))?$"
-)
+
+def parse_scalar(text: str) -> ExactScalar:
+    try:
+        return ExactScalar.of(text)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
-def parse_scalar(text: str, field_disc: int = 1) -> ExactScalar:
-    m = _SCALAR_RE.match(text.strip())
-    if not m:
-        raise ParseError(f"bad scalar {text!r}")
-    rat = Fraction(m.group("rat"))
-    if m.group("quad") is None:
-        return ExactScalar(rat)
-    quad = Fraction(m.group("quad"))
-    if m.group("sign") == "-":
-        quad = -quad
-    disc = int(m.group("disc"))
-    if disc != field_disc:
-        raise ParseError(
-            f"scalar {text!r} lives in Q(sqrt({disc})) but the session field"
-            f" is Q(sqrt({field_disc}))"
-        )
-    return ExactScalar(rat, quad, disc)
+def parse_point(text: str):
+    return tuple(map(parse_scalar, text.split(",")))
 
 
-def parse_point(text: str, field_disc: int = 1):
-    return tuple(parse_scalar(part, field_disc) for part in text.split(","))
-
-
-def parse_window(text: str, field_disc: int = 1):
+def parse_window(text: str):
     out = []
     for part in text.split(","):
-        if ".." not in part:
+        lo, sep, hi = part.partition("..")
+        if not sep:
             raise ParseError(f"bad window range {part!r}, expected lo..hi")
-        lo, hi = part.split("..", 1)
-        out.append(
-            (
-                None if lo in ("*", "") else parse_scalar(lo, field_disc),
-                None if hi in ("*", "") else parse_scalar(hi, field_disc),
-            )
-        )
+        lo, hi = (None if s in ("*", "") else parse_scalar(s) for s in (lo, hi))
+        if lo is not None and hi is not None and lo > hi:
+            raise ParseError(f"empty window range {part!r}")
+        out.append((lo, hi))
     return tuple(out)
 
 
@@ -99,25 +77,17 @@ def parse_polytope(source: str) -> DelzantPolytope:
 
 def polytope_from_data(data, source="<data>") -> DelzantPolytope:
     try:
-        dim = operator.index(data["dim"])
-        disc = operator.index(data.get("field", {}).get("D", 1))
-        facets = []
-        for i, entry in enumerate(data["facets"]):
-            normal = tuple(operator.index(c) for c in entry["normal"])
-            offset = entry["offset"]
-            offset = (
-                parse_scalar(offset, disc)
-                if isinstance(offset, str)
-                else ExactScalar.of(offset)
-            )
-            facets.append((normal, offset))
+        return DelzantPolytope(
+            data["dim"],
+            [(entry["normal"], entry["offset"]) for entry in data["facets"]],
+            data.get("field", {}).get("D", 1),
+        )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{source}: malformed polytope data ({exc})")
-    return DelzantPolytope(dim, facets, disc)
 
 
-def _orbit_params(args, poly):
-    window = parse_window(args.window, poly.field_disc) if args.window else None
+def _orbit_params(args):
+    window = parse_window(args.window) if args.window else None
     return orbit.OrbitParams(
         max_norm=args.max_norm,
         max_points=args.max_points,
@@ -157,7 +127,7 @@ def _cmd_check(args):
 
 def _cmd_invariants(args):
     poly = parse_polytope(args.polytope)
-    f = poly.fibre(parse_point(args.point, poly.field_disc))
+    f = poly.fibre(parse_point(args.point))
     return 0, {
         "invariants": poly.invariants(f).to_json(),
         "ell": [str(v) for v in f.ell],
@@ -168,14 +138,14 @@ def _cmd_invariants(args):
 
 def _cmd_probes(args):
     poly = parse_polytope(args.polytope)
-    x = parse_point(args.point, poly.field_disc)
+    x = parse_point(args.point)
     probes = probe.enumerate_probes(poly, x, args.max_norm)
     return 0, {"count": len(probes), "probes": [s.to_json() for s in probes]}
 
 
 def _cmd_partner(args):
     poly = parse_polytope(args.polytope)
-    x = parse_point(args.point, poly.field_disc)
+    x = parse_point(args.point)
     try:
         v = tuple(int(c) for c in args.dir.split(","))
     except ValueError:
@@ -191,32 +161,32 @@ def _cmd_partner(args):
 
 def _cmd_orbit(args):
     poly = parse_polytope(args.polytope)
-    x = parse_point(args.point, poly.field_disc)
-    graph = orbit.explore(poly, x, _orbit_params(args, poly))
+    x = parse_point(args.point)
+    graph = orbit.explore(poly, x, _orbit_params(args))
     return 0, graph.to_json()
 
 
 def _cmd_monodromy(args):
     poly = parse_polytope(args.polytope)
-    x = parse_point(args.point, poly.field_disc)
-    graph = orbit.explore(poly, x, _orbit_params(args, poly))
+    x = parse_point(args.point)
+    graph = orbit.explore(poly, x, _orbit_params(args))
     group = monodromy.holonomy_group(graph, x, cap=args.cap)
     return 0, {"orbit_size": len(graph.nodes), "group": group.to_json()}
 
 
 def _cmd_ambient(args):
     poly = parse_polytope(args.polytope)
-    x = parse_point(args.source, poly.field_disc)
-    y = parse_point(args.target, poly.field_disc)
+    x = parse_point(args.source)
+    y = parse_point(args.target)
     outcome = monodromy.solve_ambient(poly, x, y, bound=args.bound)
     return _KIND_CODES[outcome.kind], outcome.to_json()
 
 
 def _cmd_equivalent(args):
     poly = parse_polytope(args.polytope)
-    x = parse_point(args.source, poly.field_disc)
-    y = parse_point(args.target, poly.field_disc)
-    verdict = orbit.decide(poly, x, y, _orbit_params(args, poly))
+    x = parse_point(args.source)
+    y = parse_point(args.target)
+    verdict = orbit.decide(poly, x, y, _orbit_params(args))
     return _KIND_CODES[verdict.kind], verdict.to_json()
 
 
@@ -224,10 +194,7 @@ def _cmd_reduce(args):
     poly = parse_polytope(args.polytope)
     try:
         data = json.loads(args.slice)
-        sl = AffineSlice(
-            [parse_scalar(str(c), poly.field_disc) for c in data["base"]],
-            data["dirs"],
-        )
+        sl = AffineSlice(data["base"], data["dirs"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"bad slice {args.slice!r}: {exc}")
     result = reduction.reduce(poly, sl)
@@ -239,21 +206,18 @@ def _cmd_lift(args):
     lift = reduction.delzant_lift(poly)
     payload = lift.to_json()
     if args.point:
-        x = parse_point(args.point, poly.field_disc)
+        x = parse_point(args.point)
         payload["lifted_point"] = [str(v) for v in lift.lift_point(x)]
     return 0, payload
 
 
 def _cmd_chekanov(args):
-    disc = args.field
-    if not lattice.is_squarefree(disc):
-        raise ValidationError(f"field D = {disc} is not square-free and >= 1")
-    a = parse_point(args.tuple, disc)
+    a = parse_point(args.tuple)
     red = chekanov.reduce(a)
     payload = {"reduced": red.to_json(), "gamma": chekanov.gamma(a).to_json()}
     if not args.to:
         return 0, payload
-    b = parse_point(args.to, disc)
+    b = parse_point(args.to)
     eq = chekanov.equivalent(a, b)
     payload["equivalent"] = eq
     if not eq:
@@ -271,17 +235,17 @@ def _cmd_chekanov(args):
 
 def _cmd_render(args):
     poly = parse_polytope(args.polytope)
-    window = parse_window(args.window, poly.field_disc)
+    window = parse_window(args.window)
     if len(window) != 2 or any(lo is None or hi is None for lo, hi in window):
         raise ParseError("render needs a bounded 2-coordinate window")
     layers = {"probes": [], "orbits": [], "labels": args.labels}
     if args.probes_at:
-        x = parse_point(args.probes_at, poly.field_disc)
+        x = parse_point(args.probes_at)
         layers["probes"] = probe.enumerate_probes(poly, x, args.max_norm)
     if args.orbit_of:
-        params = _orbit_params(args, poly)
+        params = _orbit_params(args)
         for text in args.orbit_of:
-            x = parse_point(text, poly.field_disc)
+            x = parse_point(text)
             layers["orbits"].append(orbit.explore(poly, x, params).nodes)
     return 0, render_svg(poly, window, layers)
 
@@ -473,7 +437,6 @@ def build_parser():
     p = add("chekanov", _cmd_chekanov, help="product-torus classification")
     p.add_argument("--tuple", required=True)
     p.add_argument("--to")
-    p.add_argument("--field", type=int, default=1, help="square-free D of Q(sqrt D)")
 
     p = add("render", _cmd_render, help="SVG of a planar polytope")
     p.add_argument("polytope")

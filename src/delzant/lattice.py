@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -33,13 +34,27 @@ _VALID_DISCS = {1}
 _HASH_MODULUS = sys.hash_info.modulus
 
 
+# INT | INT/INT | RAT+RAT√D | RAT-RAT√D, with `sqrt` accepted for `√`; a
+# denominator is a positive integer, so 1/0 is no scalar
+_SCALAR_RE = re.compile(
+    r"(?P<rat>-?\d+(?:/0*[1-9]\d*)?)"
+    r"(?:(?P<quad>[+-]\d+(?:/0*[1-9]\d*)?)(?:√|sqrt)(?P<disc>\d+))?"
+)
+
+
 def _ratio(value):
-    """(numerator, denominator) of an exact rational value; floats are
-    refused, because their binary expansions would enter exact decisions
-    unseen."""
+    """(numerator, denominator) of an exact rational value: an int, a
+    Fraction or an INT | INT/INT text.  Floats are refused, because their
+    binary expansions would enter exact decisions unseen."""
     kind = type(value)
     if kind is int:
         return value, 1
+    if isinstance(value, str):
+        m = _SCALAR_RE.fullmatch(value.strip())
+        if m is None or m["quad"]:
+            raise ValueError(f"bad rational {value!r}")
+        num, _, den = m["rat"].partition("/")
+        return int(num), int(den or 1)
     if kind is not Fraction:
         if isinstance(value, float):
             raise TypeError(f"a float is not an exact scalar: {value!r}")
@@ -125,6 +140,12 @@ class ExactScalar:
             return value
         if kind is int:
             return _make(value, 0, 1, 1)
+        if isinstance(value, str):
+            m = _SCALAR_RE.fullmatch(value.strip())
+            if m is None:
+                raise ValueError(f"bad scalar {value!r}")
+            rat, quad, disc = m.group("rat", "quad", "disc")
+            return ExactScalar(rat, quad.lstrip("+") if quad else 0, int(disc or 1))
         return ExactScalar(value)
 
     @property
@@ -366,7 +387,10 @@ class Grid(dict):
 
 
 def scalar(rat, quad=0, D=1) -> ExactScalar:
-    """Convenience constructor, accepting ints, Fractions or '1/2' strings."""
+    """rat + quad*sqrt(D) from ints, Fractions or texts: quad an INT | INT/INT
+    text, rat any text that `ExactScalar.of` reads."""
+    if isinstance(rat, str):
+        return ExactScalar.of(rat) + ExactScalar(0, quad, D)
     return ExactScalar(rat, quad, D)
 
 

@@ -68,11 +68,12 @@ def mulclose(generators, cap: int) -> MatrixGroup:
             for b in frontier:
                 c = lattice.mat_mul(a, b)
                 if c not in elements:
-                    elements.add(c)
-                    new.append(c)
+                    # a new element with cap elements held: the group is larger
                     if len(elements) >= cap:
                         truncated = True
                         break
+                    elements.add(c)
+                    new.append(c)
             if truncated:
                 break
         frontier = new
@@ -296,8 +297,7 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
             ),
             bound=bound,
         )
-    xi = lattice.transpose(tuple(f.normal for f in poly.facets))  # n x N
-    _, h2 = poly.boundary_data()
+    xi, h2 = poly.boundary_data()  # xi is n x N
     frame = _induced_frame(xi, n, N)
     det_S = frame[0]
     free = [i for i in range(N) if i not in fx.active]
@@ -552,12 +552,11 @@ def check_ambient(poly: DelzantPolytope, x, y, A) -> AmbientReport:
         sum((fy.ell[j] * A[j][i] for j in range(N)), ExactScalar.of(0)) == fx.ell[i]
         for i in range(N)
     )
-    _, h2 = poly.boundary_data()
+    xi, h2 = poly.boundary_data()
     h2_ok = all(lattice.mat_vec(A, r) == tuple(r) for r in h2)
     induced = None
     if poly.normals_span():
         # A itself, as the family of all N columns free with no kernel
-        xi = lattice.transpose(tuple(f.normal for f in poly.facets))
         z0 = tuple(itertools.chain.from_iterable(cols))
         family = _AffineFamily(xi, _induced_frame(xi, poly.dim, N), z0, (), range(N), {})
         _, induced = family.at(())

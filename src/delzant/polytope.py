@@ -123,7 +123,7 @@ class ChekanovInvariants:
 
 
 class DelzantPolytope:
-    """Ambient dimension, ordered facet list and the session field disc."""
+    """Ambient dimension, ordered facets and the field D of their offsets."""
 
     def __init__(self, dim, facets, field_disc=1):
         # ints only: int() would truncate a float normal or dimension unseen

@@ -240,8 +240,7 @@ def delzant_lift(poly: DelzantPolytope) -> LiftResult:
     """
     if not poly.normals_span():
         raise NormalsDoNotSpan("the distance map is not injective")
-    normal_matrix = lattice.transpose(tuple(f.normal for f in poly.facets))
-    return LiftResult(poly, tuple(lattice.kernel_lattice(normal_matrix)))
+    return LiftResult(poly, tuple(poly.boundary_data()[1]))
 
 
 def strip_width(poly: DelzantPolytope):

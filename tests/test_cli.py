@@ -5,8 +5,10 @@ import xml.dom.minidom
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delzant import cli, errors, scalar
+from delzant import ExactScalar, OrbitParams, as_point, cli, decide, errors, preset, scalar
 from delzant.cli import (
     main,
     parse_point,
@@ -25,33 +27,81 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# texts that no scalar constructor reads: decimals, exponents, digit
+# separators, zero denominators, a bare root and a root of a non-square-free D
+BAD_TEXTS = ["0.5", "1e-3", "1_000", "1/0", "1+1/0√2", "√2", "1+1√4", ""]
+
+
+@st.composite
+def scalars(draw):
+    rat = st.fractions(max_denominator=10**4)
+    return scalar(draw(rat), draw(rat), draw(st.sampled_from([1, 2, 3, 5, 7])))
+
+
 class TestScalarGrammar:
     def test_parse_forms(self):
         assert parse_scalar("3") == scalar(3)
         assert parse_scalar("-7/2") == scalar(Fraction(-7, 2))
-        assert parse_scalar("1/2+1/3√2", 2) == scalar(
+        assert parse_scalar("1/2+1/3√2") == scalar(
             Fraction(1, 2), Fraction(1, 3), 2
         )
-        assert parse_scalar("1-1/2sqrt2", 2) == scalar(1, Fraction(-1, 2), 2)
-        assert parse_scalar("1+1/2√2", 2) == scalar(1, Fraction(1, 2), 2)
+        assert parse_scalar("1-1/2sqrt2") == scalar(1, Fraction(-1, 2), 2)
+        assert parse_scalar("1+1/2√2") == scalar(1, Fraction(1, 2), 2)
+        assert parse_scalar("1+1/2√3") == scalar(1, Fraction(1, 2), 3)
 
     def test_rejects(self):
         with pytest.raises(ParseError):
             parse_scalar("1.5")
         with pytest.raises(ParseError):
-            parse_scalar("1+1/2√2", 3)  # session field mismatch
-        with pytest.raises(ParseError):
-            parse_scalar("√2", 2)  # grammar requires a rational head
+            parse_scalar("√2")  # grammar requires a rational head
         for zero_den in ("1/0", "-3/00", "1+1/0√2"):
             with pytest.raises(ParseError):
-                parse_scalar(zero_den, 2)
+                parse_scalar(zero_den)
         assert parse_scalar("3/010") == scalar(Fraction(3, 10))
+
+    @settings(max_examples=200, deadline=None)
+    @given(scalars())
+    def test_library_and_cli_read_the_same_texts(self, s):
+        text = str(s)
+        assert ExactScalar.of(text) == scalar(text) == parse_scalar(text) == s
+
+    @pytest.mark.parametrize("text", BAD_TEXTS)
+    def test_library_and_cli_reject_the_same_texts(self, text, capsys):
+        for read in (ExactScalar.of, scalar, ExactScalar, lambda t: as_point([t])):
+            with pytest.raises(ValueError):
+                read(text)
+        with pytest.raises(ParseError):
+            parse_scalar(text)
+        code, out, err = run(capsys, "invariants", "preset:cp2", "--point", f"{text},-1/5")
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "ParseError"
+
+    def test_rational_parts_take_rational_texts_only(self):
+        assert ExactScalar("-7/2", "1/3", 2) == scalar(Fraction(-7, 2), Fraction(1, 3), 2)
+        with pytest.raises(ValueError):
+            ExactScalar("1+1√2")
+        with pytest.raises(ValueError):
+            scalar(1, "1+1√2", 2)
+        assert scalar("1+1√2", 1, 2) == scalar(1, 2, 2)
 
     def test_windows(self):
         w = parse_window("-3..3,-1..1")
         assert w == ((scalar(-3), scalar(3)), (scalar(-1), scalar(1)))
         w = parse_window("*..3,0..*")
         assert w == ((None, scalar(3)), (scalar(0), None))
+
+    @pytest.mark.parametrize("argv", [
+        ["render", "preset:cp2", "--window", "1..0,0..1"],
+        ["orbit", "preset:cp2", "--point", "-1/2,-1/5", "--max-norm", "1",
+         "--window", "0..-1,-1..0"],
+        ["equivalent", "preset:cp2", "--from", "-1/2,-1/5", "--to", "-1/5,-1/2",
+         "--window", "-1..0,1/2..-1/2"],
+    ], ids=["render", "orbit", "equivalent"])
+    def test_reversed_window_exits_2(self, argv, capsys):
+        # render once drew a reversed window with width="-100"
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "ParseError"
 
     def test_points(self):
         assert parse_point("1/5,1/2") == (scalar(Fraction(1, 5)), scalar(Fraction(1, 2)))
@@ -153,13 +203,16 @@ def _write(tmp_path, data):
     (lambda tmp: ["check", _write(tmp, {"dim": 1, "field": 2,
                                         "facets": [{"normal": [1], "offset": "1"}]})],
      "ParseError"),
-    (lambda tmp: ["chekanov", "--field", "4", "--tuple", "1,2"], "ValidationError"),
-    (lambda tmp: ["chekanov", "--field", "4", "--tuple", "1,1+1√4"], "ValidationError"),
-    (lambda tmp: ["chekanov", "--field", "0", "--tuple", "1,2"], "ValidationError"),
+    (lambda tmp: ["chekanov", "--tuple", "1,1+1√4"], "ParseError"),
+    (lambda tmp: ["check", _write(tmp, {"dim": 1, "field": {"D": 2},
+                                        "facets": [{"normal": [1], "offset": "1+1√3"}]})],
+     "ValidationError"),
+    (lambda tmp: ["chekanov", "--tuple", "1+1√2,1+1√3"], "ValueError"),
 ], ids=["zero-denominator", "zero-denominator-quad", "json-zero-denominator", "field-not-object",
-        "field-4", "field-4-scalar", "field-0"])
+        "sqrt4-scalar", "offset-outside-file-field", "mixed-fields"])
 def test_malformed_input_names_a_library_error(make_argv, error, capsys, tmp_path):
-    # these once printed ZeroDivisionError, AttributeError and ValueError, or exited 0
+    # these once printed ZeroDivisionError, AttributeError and ValueError, or exited 0;
+    # two fields meet only in the library's mixed-field rule, a ValueError
     code, out, err = run(capsys, *make_argv(tmp_path))
     assert code == 2 and not out
     assert json.loads(err)["error"] == error
@@ -179,8 +232,16 @@ def _value_options():
 
 def test_value_options_are_found():
     found = set(_value_options())
-    assert {("orbit", "--window"), ("chekanov", "--field"), ("render", "--orbit-of")} <= found
+    assert {("orbit", "--window"), ("chekanov", "--tuple"), ("render", "--orbit-of")} <= found
     assert ("render", "--labels") not in found
+    assert ("chekanov", "--field") not in found
+
+
+def test_field_option_is_gone(capsys):
+    # a scalar names its own field, so there is no session field to set
+    code, out, err = run(capsys, "chekanov", "--field", "2", "--tuple", "1,1+1√2")
+    assert code == 2 and not out
+    assert "unrecognized arguments: --field" in err
 
 
 @pytest.mark.parametrize("command, option", _value_options())
@@ -446,13 +507,25 @@ class TestDispatch:
 
     def test_chekanov_quadratic_field(self, capsys):
         code, out, _ = run(
-            capsys, "chekanov", "--field", "2",
-            "--tuple", "1,1+1√2,3", "--to", "1,3,1+1√2",
+            capsys, "chekanov", "--tuple", "1,1+1√2,3", "--to", "1,3,1+1√2",
         )
         assert code == 0
         data = json.loads(out)
         assert data["equivalent"]
         assert data["word"] == [["swap", 1, 2]]
+
+    def test_equivalent_density_example(self, capsys):
+        # the paper's density example, read as the library reads it
+        code, out, _ = run(
+            capsys, "equivalent", "preset:cn(3)", "--from", "1,2,1+1√2",
+            "--to", "1,1+1√2,2", "--max-norm", "1",
+        )
+        assert code == 0
+        verdict = decide(
+            preset("cn(3)"), as_point(["1", "2", "1+1√2"]), as_point(["1", "1+1√2", "2"]),
+            OrbitParams(max_norm=1, max_points=500, max_depth=16),
+        )
+        assert out == json.dumps(verdict.to_json(), sort_keys=True) + "\n"
 
     def test_preset_list(self, capsys):
         code, out, _ = run(capsys, "preset-list")

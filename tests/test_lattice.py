@@ -160,7 +160,7 @@ class TestExactScalar:
 
         for s in (scalar(Fraction(3, 4)), scalar(-2), scalar(1, Fraction(-1, 2), 2),
                   scalar(0, 1, 5)):
-            assert parse_scalar(str(s), s.D) == s
+            assert ExactScalar.of(str(s)) == parse_scalar(str(s)) == s
 
 
 # -- primitive vectors ---------------------------------------------------------

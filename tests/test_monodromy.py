@@ -118,11 +118,11 @@ def _mulclose_reference(generators, cap):
             for b in frontier:
                 c = mat_mul(a, b)
                 if c not in elements:
-                    elements.add(c)
-                    new.append(c)
                     if len(elements) >= cap:
                         truncated = True
                         break
+                    elements.add(c)
+                    new.append(c)
             if truncated:
                 break
         frontier = new
@@ -179,6 +179,13 @@ class TestMulclose:
         group = mulclose(gens, cap=64)
         assert not group.truncated
         assert len(group.elements) == 4
+
+    @pytest.mark.parametrize("cap, truncated", [(7, True), (8, False), (9, False)])
+    def test_truncated_only_when_the_group_is_larger(self, cap, truncated):
+        # D4, of order 8: holding all 8 elements at cap 8 is a complete closure
+        group = mulclose([((0, 1), (1, 0)), ((-1, 0), (0, 1))], cap)
+        assert group.truncated is truncated
+        assert len(group.elements) == (7 if truncated else 8)
 
     def test_inverse_closed_when_truncated(self):
         shear = ((1, 1), (0, 1))
