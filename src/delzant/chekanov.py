@@ -10,6 +10,11 @@ swaps, and the three-coordinate move
 
 which acts on the excess vector as the elementary shear.  Both moves are
 involutions on tuples, so words reverse move by move.
+
+Words are built and replayed on int rows over one `lattice.Grid`, and each
+move of a cross-checked replay is checked against its orthant probe through
+the probe layer's own end-finder; scalars are built only for the tuple a
+replay returns.
 """
 
 from __future__ import annotations
@@ -17,17 +22,19 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass
+from operator import add, mul, ne
 
-from . import lattice
+from . import lattice, probe
 from .errors import (
     LengthMismatch,
     NonPositiveEntry,
     NotEquivalent,
     PreconditionViolated,
     RankNotOne,
+    SelfCheckFailed,
     WordSearchExhausted,
 )
-from .lattice import ExactScalar, GammaLattice
+from .lattice import ExactScalar, GammaLattice, Grid, _sign
 from .polytope import DelzantPolytope, as_point
 
 
@@ -98,12 +105,21 @@ def gamma(values) -> GammaLattice:
     return _fibre(values).gamma()
 
 
-def equivalent(a, b) -> bool:
-    """Equality of the complete invariant (d, multiplicity, excess subgroup)."""
-    fa, fb = _fibre(a), _fibre(b)
+def _shared_gamma(fa, fb):
+    """The excess subgroup of fa when the product tori fa and fb share the
+    complete invariant (d, multiplicity, excess subgroup), else None."""
     if len(fa.ell) != len(fb.ell):
         raise LengthMismatch(f"lengths {len(fa.ell)} and {len(fb.ell)}")
-    return fa.d == fb.d and len(fa.active) == len(fb.active) and fa.gamma() == fb.gamma()
+    if fa.d == fb.d and len(fa.active) == len(fb.active):
+        g = fa.gamma()
+        if g == fb.gamma():
+            return g
+    return None
+
+
+def equivalent(a, b) -> bool:
+    """Equality of the complete invariant (d, multiplicity, excess subgroup)."""
+    return _shared_gamma(_fibre(a), _fibre(b)) is not None
 
 
 def integral_affine_length(entries) -> ExactScalar:
@@ -115,43 +131,87 @@ def integral_affine_length(entries) -> ExactScalar:
     return lat.generator()
 
 
-# -- move replay -------------------------------------------------------------
+# -- move replay on packed rows -----------------------------------------------
+#
+# A state is its tuple packed on one `lattice.Grid`, the row of 2n ints
+# (a_1, ..., a_n, b_1, ..., b_n).  A move only forms sums of entries, so
+# every state a word reaches stays on the grid of its start; entries
+# compare by `_sign` and are equal when their (a, b) pairs are.
 
 
-def _apply(state, move, index):
+def _less(row, s, t, D):
+    """Whether entry s of the packed row lies below entry t."""
+    n = len(row) // 2
+    return _sign(row[s] - row[t], row[n + s] - row[n + t], D) < 0
+
+
+def _entries(row):
+    """The (a, b) pairs of a packed row, one per entry."""
+    n = len(row) // 2
+    return list(zip(row[:n], row[n:]))
+
+
+def _apply(row, move, index, D):
+    """Apply the move to the packed row in place."""
+    n = len(row) // 2
     if isinstance(move, Swap):
         i, j = move.i, move.j
-        if i == j or not (0 <= i < len(state)) or not (0 <= j < len(state)):
+        if i == j or not (0 <= i < n) or not (0 <= j < n):
             raise PreconditionViolated(index, f"bad swap indices at move {index}")
-        state[i], state[j] = state[j], state[i]
+        row[i], row[j], row[n + i], row[n + j] = row[j], row[i], row[n + j], row[n + i]
         return
     i, j, k = move.i, move.j, move.k
-    if len({i, j, k}) != 3 or not all(0 <= t < len(state) for t in (i, j, k)):
+    if len({i, j, k}) != 3 or not (0 <= i < n and 0 <= j < n and 0 <= k < n):
         raise PreconditionViolated(index, f"bad elswap indices at move {index}")
-    ai, aj, ak = state[i], state[j], state[k]
-    if not ai < aj:
+    if not _less(row, i, j, D):
         # entry uniqueness of the probe in direction e_i + e_j - e_k
         raise PreconditionViolated(
             index, f"elswap needs a[{i}] < a[{j}] at move {index}"
         )
-    state[i], state[j], state[k] = ak, aj + ak - ai, ai
+    for h in (0, n):
+        ai, aj, ak = row[h + i], row[h + j], row[h + k]
+        row[h + i], row[h + j], row[h + k] = ak, aj + ak - ai, ai
 
 
-def _probe_check(state, after, move):
-    """Check that the move takes state to after as its orthant probe does."""
-    from . import probe as probe_mod
-
-    n = len(state)
-    orthant = _orthant(n)
+@functools.cache
+def _direction(n, move):
+    """The `probe._Direction` of the move's orthant probe in dimension n:
+    e_i - e_j for a swap, e_i + e_j - e_k for an elswap."""
     v = [0] * n
     if isinstance(move, Swap):
-        if state[move.i] == state[move.j]:
-            return  # midpoint probe: partner is the identity, as is the swap
         v[move.i], v[move.j] = 1, -1
     else:
         v[move.i], v[move.j], v[move.k] = 1, 1, -1
-    sigma = probe_mod.shoot(orthant, state, tuple(v))
-    assert after == probe_mod.partner(sigma, state), "move formula disagrees with the probe"
+    return probe._Direction(tuple(v), lattice.identity(n))
+
+
+def _probe_check(before, after, move, index, D):
+    """Check that the move takes the packed row `before` to `after` as its
+    orthant probe does.
+
+    On the orthant l(x) = x, so the row is the distance row that
+    `probe._end` reads, and the partner of x is x + (l_exit - l_entry) * v.
+    """
+    n = len(before) // 2
+    d = _direction(n, move)
+    exit_ = probe._end(before, d, d.exits, D)
+    entry = probe._end(before, d, d.entries, D)
+    sa = before[exit_] - before[entry]
+    sb = before[n + exit_] - before[n + entry]
+    partner = map(add, before, map(mul, d.vv, (sa,) * n + (sb,) * n))
+    if any(map(ne, partner, after)):
+        raise SelfCheckFailed(f"move {index} disagrees with its orthant probe")
+
+
+def _replay_row(row, moves, D, cross_check):
+    """Apply the moves to the packed row in place, checking each against its
+    probe when asked; a move that breaks its precondition raises before it
+    is checked."""
+    for index, move in enumerate(moves):
+        before = tuple(row)
+        _apply(row, move, index, D)
+        if cross_check:
+            _probe_check(before, row, move, index, D)
 
 
 @functools.cache
@@ -160,64 +220,71 @@ def _orthant(n):
 
 
 def replay(values, word: ProbeWord, cross_check: bool = True):
-    """Apply a move word, optionally verifying each move against a probe;
-    a move that breaks its precondition raises before it is shot."""
-    state = list(_positive(values))
-    for index, move in enumerate(word.moves):
-        before = tuple(state)
-        _apply(state, move, index)
-        if cross_check:
-            _probe_check(before, tuple(state), move)
-    return tuple(state)
+    """Apply a move word, optionally verifying each move against a probe."""
+    vals = _positive(values)
+    grid = Grid(vals)
+    row = list(grid.pack(vals))
+    _replay_row(row, word.moves, grid.D, cross_check)
+    return grid.unpack(row)
 
 
 # -- word construction --------------------------------------------------------
 
 
-def _sort_word(state):
-    """Selection-sort swaps bringing the state to ascending order."""
+def _sort_word(row, D):
+    """Selection-sort swaps bringing the packed row to ascending order."""
     moves = []
-    n = len(state)
+    n = len(row) // 2
     for i in range(n):
-        m = min(range(i, n), key=lambda t: (state[t], t))
+        m = i
+        for t in range(i + 1, n):
+            if _less(row, t, m, D):
+                m = t
         if m != i:
-            moves.append(Swap(i, m))
-            state[i], state[m] = state[m], state[i]
+            move = Swap(i, m)
+            _apply(row, move, -1, D)
+            moves.append(move)
     return moves
 
 
-def _euclid_word(values):
-    """Word bringing the tuple to (d,...,d, d+g,...,d+g) sorted ascending.
+def _euclid_word(row, D):
+    """Word bringing the packed row to (d,...,d, d+g,...,d+g) sorted
+    ascending, with the row it reaches.
 
     Subtractive Euclid on the excesses: reduce the current maximum against
     the current minimum through the three-coordinate move anchored at a
     minimal slot.  Terminates whenever all excess ratios are rational.
     """
-    state = list(values)
-    word = _sort_word(state)
-    d = state[0]
+    state = list(row)
+    word = _sort_word(state, D)
+    d = _entries(state)[0]
     while True:
+        entries = _entries(state)
         # excesses v - d order as the entries do; ties go to the first index
-        others = [idx for idx, v in enumerate(state) if v != d]
+        others = [t for t, e in enumerate(entries) if e != d]
         if not others:
             break
-        i = min(others, key=state.__getitem__)
-        j = max(others, key=state.__getitem__)
-        if state[i] == state[j]:
+        i = j = others[0]
+        for t in others[1:]:
+            if _less(state, t, i, D):
+                i = t
+            elif _less(state, j, t, D):
+                j = t
+        if entries[i] == entries[j]:
             break
-        move = Elswap(i, j, state.index(d))
-        _apply(state, move, -1)
+        move = Elswap(i, j, entries.index(d))
+        _apply(state, move, -1, D)
         word.append(move)
-    word.extend(_sort_word(state))
+    word.extend(_sort_word(state, D))
     return word, tuple(state)
 
 
 _WORD_SEARCH_CAP = 20000
 
 
-def _bfs_word(a, b, cap):
-    """Bounded breadth-first search over tuples for the irrational case."""
-    n = len(a)
+def _bfs_word(a, b, cap, D):
+    """Bounded breadth-first search over packed rows for the irrational case."""
+    n = len(a) // 2
     moves = [Swap(i, j) for i in range(n) for j in range(i + 1, n)]
     moves += [
         Elswap(i, j, k)
@@ -243,7 +310,7 @@ def _bfs_word(a, b, cap):
         for move in moves:
             state = list(cur)
             try:
-                _apply(state, move, -1)
+                _apply(state, move, -1, D)
             except PreconditionViolated:
                 continue
             nxt = tuple(state)
@@ -263,32 +330,35 @@ def probe_word(a, b) -> ProbeWord:
     Rational excess lattices go through the subtractive-Euclid canonical
     form; both moves are involutions, so the b-side word reverses move by
     move.  Rank >= 2 lattices fall back to bounded search and may fail.
+    The words are built on packed rows over one grid of both tuples.
     """
-    va, vb = _positive(a), _positive(b)
-    if len(va) != len(vb):
-        raise LengthMismatch(f"lengths {len(va)} and {len(vb)}")
-    if not equivalent(va, vb):
+    fa, fb = _fibre(a), _fibre(b)
+    g = _shared_gamma(fa, fb)
+    if g is None:
         raise NotEquivalent("the tuples have different invariants")
-    if va == vb:
+    grid = Grid(fa.point, fb.point)
+    D, ra, rb = grid.D, grid.pack(fa.point), grid.pack(fb.point)
+    if ra == rb:
         return ProbeWord(())
-    if sorted(va) == sorted(vb):
+    ea, eb = _entries(ra), _entries(rb)
+    if sorted(ea) == sorted(eb):
         # pure permutation: realize by swaps only
-        state = list(va)
         moves = []
-        for i in range(len(vb)):
-            if state[i] != vb[i]:
-                m = next(
-                    t for t in range(i + 1, len(state)) if state[t] == vb[i]
-                )
+        for i in range(len(eb)):
+            if ea[i] != eb[i]:
+                m = ea.index(eb[i], i + 1)
                 moves.append(Swap(i, m))
-                state[i], state[m] = state[m], state[i]
-        word = ProbeWord(tuple(moves))
-    elif gamma(va).rank <= 1:
-        word_a, canon_a = _euclid_word(va)
-        word_b, canon_b = _euclid_word(vb)
-        assert canon_a == canon_b, "equivalent tuples share the canonical form"
-        word = ProbeWord(tuple(word_a + list(reversed(word_b))))
+                ea[i], ea[m] = ea[m], ea[i]
+    elif g.rank <= 1:
+        word_a, canon_a = _euclid_word(ra, D)
+        word_b, canon_b = _euclid_word(rb, D)
+        if canon_a != canon_b:
+            raise SelfCheckFailed("equivalent tuples reached different canonical forms")
+        moves = word_a + word_b[::-1]
     else:
-        word = ProbeWord(tuple(_bfs_word(va, vb, _WORD_SEARCH_CAP)))
-    assert replay(va, word, cross_check=False) == vb
-    return word
+        moves = _bfs_word(ra, rb, _WORD_SEARCH_CAP, D)
+    state = list(ra)
+    _replay_row(state, moves, D, False)
+    if tuple(state) != rb:
+        raise SelfCheckFailed("the word does not replay to the target tuple")
+    return ProbeWord(tuple(moves))

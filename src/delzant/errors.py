@@ -143,6 +143,11 @@ class PreconditionViolated(DelzantError):
         self.index = index
 
 
+class SelfCheckFailed(DelzantError):
+    """A computed result failed its own exact check: a fault in the
+    library, never an answer.  Raised, not asserted, so `python -O` keeps it."""
+
+
 # -- presets / cli ---------------------------------------------------------
 
 class UnknownPreset(DelzantError):

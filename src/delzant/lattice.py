@@ -19,7 +19,15 @@ from fractions import Fraction
 from .errors import DimensionMismatch, NotUnimodular, RankNotOne, ZeroVector
 
 
+# The largest field discriminant taken: `is_squarefree` trial-divides up to
+# sqrt(D), so this bound keeps that under 10**5 steps.
+MAX_DISC = 10**10
+
+
 def is_squarefree(n: int) -> bool:
+    """Whether n >= 1 is square-free; ValueError above MAX_DISC."""
+    if n > MAX_DISC:
+        raise ValueError(f"field discriminant {n} exceeds the bound {MAX_DISC}")
     if n < 1:
         return False
     p = 2

@@ -10,8 +10,9 @@ orbits can re-enter the window from outside.
 A move adds (l_exit - l_entry) * v to a point and (l_exit - l_entry) * p to
 its distances, so the whole orbit lies on one `lattice.Grid`: the common
 denominator c and field D of the root, its distances and the window.  The
-search runs on packed rows of ints over that grid and builds scalars,
-probes and moves once each, for the graph it returns.
+search runs on packed rows of ints over that grid.  `explore` builds
+scalars, probes and moves once each, for the graph it returns; `decide`
+builds them only along the path it answers with.
 """
 
 from __future__ import annotations
@@ -124,6 +125,17 @@ def explore(
     it first reaches the point, so `path_to(target)` is that of the full
     search; a target never reached (or off the grid) leaves the full graph.
     """
+    return _graph(poly, *_search(poly, x, params, target))
+
+
+def _search(poly, x, params, target=None):
+    """The packed BFS of `explore`: (grid, solver, records, nodes, edges,
+    truncated), with nodes and edges on point ids into the records.
+
+    records[i] = [packed point, packed distances, inside the window, depth,
+    queued, parent move (u, i, hit) on ids], in discovery order; the root
+    is records[0].  A search that reaches the target ends with it.
+    """
     _check_window(poly, params)
     f = poly.fibre(x)
     root = f.point
@@ -141,13 +153,7 @@ def explore(
     D = grid.D
     n, N = poly.dim, poly.nfacets
     window = [(k, n + k, *grid.pack((bound,)), out) for k, bound, out in bounds]
-    goal = None
-    if target is not None:
-        target = as_point(target)
-        if len(target) == n and grid.holds(target):
-            goal = grid.pack(target)
-    # per point id, in discovery order: [packed point, packed distances,
-    # inside the window, depth, queued, parent move (u, v, hit) on ids]
+    goal = None if target is None else _packed(grid, target)
     records = [[grid.pack(root), grid.pack(f.ell), True, 0, True, None]]
     ids = {records[0][0]: 0}
     nodes = [0]
@@ -182,7 +188,7 @@ def explore(
                 move = (u, v, hit)
                 records.append([row, ell_v, inside, depth_u + 1, inside, move])
                 if row == goal:
-                    return _graph(poly, grid, solver, records, nodes, edges, True)
+                    return grid, solver, records, nodes, edges, True
                 if inside:
                     nodes.append(v)
                     queue.append(v)
@@ -199,7 +205,21 @@ def explore(
                 if key not in edge_keys:
                     edge_keys.add(key)
                     edges.append(move or (u, v, hit))
-    return _graph(poly, grid, solver, records, nodes, edges, truncated)
+    return grid, solver, records, nodes, edges, truncated
+
+
+def _packed(grid, point):
+    """The packed row of a point on the grid, or None when it lies off it."""
+    point = as_point(point)
+    return grid.pack(point) if grid.holds(point) else None
+
+
+def _probe_move(poly, grid, solver, records, move, source, target) -> ProbeMove:
+    """The ProbeMove of a recorded move (u, v, hit) from source to target."""
+    u, _, hit = move
+    x, ell = records[u][:2]
+    return ProbeMove(probe_mod.build_probe(poly.facets, grid, x, ell, hit),
+                     source, target, solver.involution(hit))
 
 
 def _graph(poly, grid, solver, records, nodes, edges, truncated):
@@ -211,11 +231,8 @@ def _graph(poly, grid, solver, records, nodes, edges, truncated):
     def build(move):
         built = moves.get(move)
         if built is None:
-            u, v, hit = move
-            x, ell = records[u][:2]
-            built = moves[move] = ProbeMove(
-                probe_mod.build_probe(poly.facets, grid, x, ell, hit),
-                points[u], points[v], solver.involution(hit),
+            built = moves[move] = _probe_move(
+                poly, grid, solver, records, move, points[move[0]], points[move[1]]
             )
         return built
 
@@ -251,6 +268,52 @@ def replay_path(x, path) -> tuple:
     return cur
 
 
+def _reached(search, point):
+    """The id of the point in the search's records when the search ended
+    there, reaching it as its target; else None."""
+    grid, records = search[0], search[2]
+    last = len(records) - 1
+    return last if last and records[last][0] == _packed(grid, point) else None
+
+
+def _path(poly, search, v) -> list:
+    """The recorded moves root -> record v, built for this path only."""
+    grid, solver, records = search[:3]
+    path = []
+    target = grid.unpack(records[v][0])
+    while v:
+        move = records[v][5]
+        source = grid.unpack(records[move[0]][0])
+        path.append(_probe_move(poly, grid, solver, records, move, source, target))
+        v, target = move[0], source
+    path.reverse()
+    return path
+
+
+def _reversed(path) -> tuple:
+    """The path walked backwards: partner moves are involutions."""
+    return tuple(m.reversed() for m in reversed(path))
+
+
+def _meet(search_x, search_y):
+    """Ids (i, j) of the first point that both searches reached, first in
+    x's discovery order with both roots excluded; None when there is none.
+
+    An orbit lies on the grid of its root, so a point of both orbits puts
+    y on the grid of x and x on the grid of y: searches on different grids
+    share no point, and on one grid equal points are equal rows."""
+    gx, rx = search_x[0], search_x[2]
+    gy, ry = search_y[0], search_y[2]
+    if (gx.c, gx.D) != (gy.c, gy.D):
+        return None
+    seen = {rec[0]: j for j, rec in enumerate(ry) if j}
+    for i in range(1, len(rx)):
+        j = seen.get(rx[i][0])
+        if j is not None:
+            return i, j
+    return None
+
+
 @dataclass(frozen=True)
 class Verdict:
     kind: str  # "equivalent" | "distinct" | "unknown"
@@ -283,10 +346,11 @@ def decide(poly: DelzantPolytope, x, y, params: OrbitParams) -> Verdict:
     ambient integer solver may certify Distinct; absence of a path within
     the caps is never conclusive, hence Unknown.
 
-    Each path search stops at the point it looks for (`explore` with
-    `target`), so a search that finds its target leaves a partial graph
-    marked `truncated`.  One that never finds it is the full graph, so
-    verdicts and paths are those of two full searches and the meet scan.
+    Each path search is the packed search of `explore` with a `target`, so
+    it stops at the point it looks for; one that never finds it is the full
+    search, so verdicts and paths are those of two full searches and the
+    meet scan.  No graph is built: scalars, probes and moves are made only
+    for the path returned.
     """
     _check_window(poly, params)
     fx, fy = poly.fibre(x), poly.fibre(y)
@@ -318,22 +382,19 @@ def decide(poly: DelzantPolytope, x, y, params: OrbitParams) -> Verdict:
                 "reduction_type": reduction_type,
             },
         )
-    graph_x = explore(poly, fx, params, target=y)
-    if y in graph_x.parents:
-        return Verdict("equivalent", path=tuple(graph_x.path_to(y)))
-    graph_y = explore(poly, fy, params, target=x)
-    if x in graph_y.parents:
-        backward = [m.reversed() for m in reversed(graph_y.path_to(x))]
-        return Verdict("equivalent", path=tuple(backward))
-    meet = None
-    for p in graph_x.parents:
-        if p in graph_y.parents:
-            meet = p
-            break
+    search_x = _search(poly, fx, params, target=y)
+    end = _reached(search_x, y)
+    if end is not None:
+        return Verdict("equivalent", path=tuple(_path(poly, search_x, end)))
+    search_y = _search(poly, fy, params, target=x)
+    end = _reached(search_y, x)
+    if end is not None:
+        return Verdict("equivalent", path=_reversed(_path(poly, search_y, end)))
+    meet = _meet(search_x, search_y)
     if meet is not None:
-        forward = graph_x.path_to(meet)
-        backward = [m.reversed() for m in reversed(graph_y.path_to(meet))]
-        return Verdict("equivalent", path=tuple(forward + backward))
+        forward = _path(poly, search_x, meet[0])
+        return Verdict("equivalent",
+                       path=tuple(forward) + _reversed(_path(poly, search_y, meet[1])))
     if reduction_type:
         from . import monodromy
 

@@ -1,8 +1,12 @@
 """Command-line front end: parsing, dispatch, exit codes, rendering."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.dom.minidom
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +170,25 @@ class TestPolytopeFiles:
         code, out, err = run(capsys, "check", str(path))
         assert code == 2 and not out
         assert json.loads(err)["error"] == "ValidationError"
+
+    def test_large_field_disc_exits_2(self, tmp_path):
+        # trial division up to sqrt(D) never ends on this D, so the CLI runs
+        # in a child process that a timeout stops
+        disc = 1000000000000000000039
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"dim": 1, "field": {"D": disc}, "facets": [
+            {"normal": [1], "offset": "1"},
+        ]}))
+        src = Path(__file__).resolve().parent.parent / "src"
+        parts = [str(src), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in parts if p))
+        for argv in (["chekanov", "--tuple", f"1,1+1√{disc}"], ["check", str(path)]):
+            done = subprocess.run([sys.executable, "-m", "delzant.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 2 and not done.stdout
+            error = json.loads(done.stderr)
+            assert error["error"] == "ParseError"
+            assert f"field discriminant {disc} exceeds the bound" in error["message"]
 
     def test_float_field_disc_exits_2(self, capsys, tmp_path):
         path = tmp_path / "field.json"

@@ -2,8 +2,13 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -29,6 +34,13 @@ from delzant.lattice import (
     transpose,
     unimodular_inverse,
 )
+
+
+def _src_env():
+    """The environment of a child process that imports this checkout."""
+    path = [str(Path(__file__).resolve().parent.parent / "src"),
+            os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
 
 
 # -- brute-force oracles -----------------------------------------------------
@@ -103,6 +115,30 @@ class TestExactScalar:
     def test_non_squarefree_rejected(self):
         with pytest.raises(ValueError):
             scalar(1, 1, 12)
+
+    def test_large_discriminant_rejected_without_trial_division(self):
+        # trial division up to sqrt(D) never ends on this D, so the test runs
+        # in a child process that a timeout stops
+        script = textwrap.dedent("""
+            from delzant import DelzantPolytope, ExactScalar, lattice
+            D = 1000000000000000000039
+            calls = [
+                lambda: lattice.scalar(1, 1, D),
+                lambda: ExactScalar.of(f"1+1√{D}"),
+                lambda: DelzantPolytope(1, [((1,), 0), ((-1,), 1)], D),
+            ]
+            for call in calls:
+                try:
+                    call()
+                except ValueError as exc:
+                    print(type(exc).__name__, exc)
+            # the bound itself is still decided: 10**10 - 1 = 3^2 * 1111111111
+            print(lattice.is_squarefree(lattice.MAX_DISC - 1))
+        """)
+        done = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                              capture_output=True, text=True, timeout=60)
+        message = f"ValueError field discriminant {10**21 + 39} exceeds the bound 10000000000"
+        assert done.stdout.splitlines() == [message] * 3 + ["False"]
 
     def test_floor(self):
         assert math.floor(scalar(0, 1, 2)) == 1

@@ -1,6 +1,7 @@
 """Orbit exploration and the equivalence decision procedure."""
 
 import random
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -426,8 +427,10 @@ def test_edge_key_is_symmetric():
 # -- the decide that ran two full explores before its meet scan ----------------
 
 
-def reference_decide(poly, x, y, params):
-    """decide() with full explores of both sides, then the meet scan."""
+def reference_decide(poly, x, y, params, targeted=False):
+    """decide() with full explores of both sides, then the meet scan; with
+    `targeted`, the decide that read its paths off two graphs of explores
+    that stop at their targets."""
     x = poly.fibre(x).point
     y = poly.fibre(y).point
     if x == y:
@@ -456,10 +459,10 @@ def reference_decide(poly, x, y, params):
                 "reduction_type": reduction_type,
             },
         )
-    graph_x = explore(poly, x, params)
+    graph_x = explore(poly, x, params, target=y if targeted else None)
     if y in graph_x.parents:
         return Verdict("equivalent", path=tuple(graph_x.path_to(y)))
-    graph_y = explore(poly, y, params)
+    graph_y = explore(poly, y, params, target=x if targeted else None)
     if x in graph_y.parents:
         backward = [m.reversed() for m in reversed(graph_y.path_to(x))]
         return Verdict("equivalent", path=tuple(backward))
@@ -763,3 +766,59 @@ class TestPackedGrid:
             assert list(graph.parents) == list(full.parents)
         verdict = assert_decide_matches_reference(poly, x, (1, 2, Fraction(1, 7)), params)
         assert verdict.kind == "unknown"
+
+
+# -- path-only decide against the decide that built both graphs ----------------
+
+
+def assert_path_only_decide(poly, x, y, params):
+    """decide() builds moves only along its path, yet answers as the decide
+    that read its paths off the graphs of both targeted explores; every
+    path replays.  A y outside the window raises the same error in both,
+    unless x's search reaches it in the shell."""
+    try:
+        graphs = reference_decide(poly, x, y, params, targeted=True)
+    except NotInterior as exc:
+        with pytest.raises(NotInterior, match=re.escape(str(exc))):
+            decide(poly, x, y, params)
+        return None
+    verdict = decide(poly, x, y, params)
+    assert verdict.to_json() == graphs.to_json()
+    if verdict.kind == "equivalent":
+        assert replay_path(x, verdict.path) == poly.fibre(y).point
+    return verdict.kind
+
+
+@pytest.mark.parametrize("name", sorted(DECIDE_PARAMS))
+def test_path_only_decide_on_presets(name):
+    poly = preset(name)
+    wide = OrbitParams(**DECIDE_PARAMS[name])
+    rng = random.Random(89)
+    points = [p for p in (sample_interior(poly, rng) for _ in range(10))
+              if wide.in_window(p)][:4]
+    kinds = set()
+    # the benchmark caps, and a point cap that makes pairs meet or connect
+    # from y only
+    for cap in (wide.max_points, 6):
+        params = OrbitParams(**dict(DECIDE_PARAMS[name], max_points=cap))
+        for x in points:
+            reached = list(explore(poly, x, wide).parents)
+            for y in reached[:3] + reached[-3:] + points:
+                kinds.add(assert_path_only_decide(poly, x, y, params))
+    assert "equivalent" in kinds
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GENERATED), st.sampled_from((1, 2, 5)), unimodular_2x2(),
+       st.tuples(fractions, fractions), st.tuples(fractions, fractions),
+       st.sampled_from((4, 25)), st.randoms(use_true_random=False))
+def test_path_only_decide_on_affine_images(name, D, M, t_rat, t_quad, cap, rng):
+    base, image, t = affine_image(name, D, M, t_rat, t_quad)
+    x = moved(M, sample_interior(base, rng), t)
+    window = tuple((c - 3, c + Fraction(5, 2)) for c in x)
+    wide = OrbitParams(max_norm=3, max_points=25, max_depth=6, window=window)
+    params = OrbitParams(max_norm=3, max_points=cap, max_depth=6, window=window)
+    reached = list(explore(image, x, wide).parents)
+    others = [moved(M, sample_interior(base, rng), t) for _ in range(2)]
+    for y in reached[-2:] + [p for p in others if params.in_window(p)]:
+        assert_path_only_decide(image, x, y, params)
