@@ -16,7 +16,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import chekanov, lattice, monodromy, orbit, probe, reduction, spaces
 from .errors import (
@@ -276,10 +275,7 @@ def _facet_segment(poly, index, window):
     f = poly.facets[index]
     n1, n2 = f.normal
     norm2 = n1 * n1 + n2 * n2
-    base = (
-        ExactScalar.of(Fraction(-n1, norm2)) * f.offset,
-        ExactScalar.of(Fraction(-n2, norm2)) * f.offset,
-    )
+    base = (f.offset * -n1 / norm2, f.offset * -n2 / norm2)
     d = (-n2, n1)
     lo, hi = None, None
     rows = [(g.normal, g.offset) for j, g in enumerate(poly.facets) if j != index]

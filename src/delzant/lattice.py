@@ -16,7 +16,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NotUnimodular, RankNotOne, ZeroVector
+from .errors import (
+    DimensionMismatch, NotUnimodular, RankNotOne, SelfCheckFailed, ZeroVector,
+)
 
 
 # The largest field discriminant taken: `is_squarefree` trial-divides up to
@@ -100,7 +102,8 @@ def _sign(a, b, D):
         return 1 if b > 0 else -1
     # Opposite signs: |a| vs |b| sqrt(D) decided by squaring.
     t = a * a - b * b * D
-    assert t != 0, "square-free D cannot make a + b*sqrt(D) vanish"
+    if not t:
+        raise SelfCheckFailed("square-free D cannot make a + b*sqrt(D) vanish")
     return (1 if a > 0 else -1) if t > 0 else (1 if b > 0 else -1)
 
 
@@ -190,14 +193,7 @@ class ExactScalar:
         if type(other) is int:
             c = self.c
             return _make(self.a - other * c, self.b, c, self.D)
-        other = ExactScalar.of(other)
-        D = self.D
-        if other.D != D:
-            D = _join(D, other.D)
-        c, oc = self.c, other.c
-        if c == oc:
-            return _make(self.a - other.a, self.b - other.b, c, D)
-        return _make(self.a * oc - other.a * c, self.b * oc - other.b * c, c * oc, D)
+        return self.__add__(-ExactScalar.of(other))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -623,10 +619,12 @@ def solve_integer(M, b):
     Returns (z0, kernel_basis, None) on success, where the solution set is
     z0 + Z-span(kernel_basis), or (None, kernel_basis, certificate) when no
     integer solution exists.  Works on the row Hermite form U M^T = H of
-    the transpose: with z = U^T w the system reads H^T w = b, which has a
-    unique rational solution on the coordinates of the nonzero rows of H,
-    and divisibility failures translate into certificate functionals
-    because U is unimodular.
+    the transpose: with z = U^T w the system reads H^T w = b.  On the pivot
+    rows p_0 < p_1 < ... of M it is lower triangular, L w = b_p with
+    L[i][j] = H[j][p_i], solved exactly as adj(L) b_p / det L.  Because U
+    is unimodular, a row of L^-1 whose w_j is not an integer, or a residual
+    on another row, is a certificate functional; only those become
+    Fractions.
     """
     m = len(M)
     if len(b) != m:
@@ -634,44 +632,31 @@ def solve_integer(M, b):
     H, U = row_hnf(transpose(M))
     k = len(H)
     kernel = [u for u, h in zip(U, H) if not any(h)]
-    pivots = []  # (row of M, row of H), increasing in both
-    for j, h in enumerate(H):
+    pivots = []  # the pivot row of M of each nonzero row of H, increasing
+    for h in H:
         r = next((i for i, v in enumerate(h) if v), None)
-        if r is not None:
-            pivots.append((r, j))
+        if r is None:
+            break
+        pivots.append(r)
+    K = len(pivots)
+    det, adj = adjugate([[h[r] for h in H[:K]] for r in pivots])
+    bp = [b[r] for r in pivots]
     w = [0] * k
-    funcs = {}  # row of H -> functional in Q^m computing w_j from the rhs
-    for r, j in pivots:
-        p = H[j][r]
-        val = Fraction(b[r])
-        func = [Fraction(0)] * m
-        func[r] = Fraction(1)
-        for r2, j2 in pivots:
-            if j2 >= j:
-                break
-            h = H[j2][r]
-            if h:
-                val -= h * w[j2]
-                func = [a - h * c for a, c in zip(func, funcs[j2])]
-        val = val / p
-        funcs[j] = tuple(f / p for f in func)
-        if val.denominator != 1:
-            return None, kernel, IntegerInfeasible(funcs[j], M, b)
-        w[j] = int(val)
-    pivot_rows = {r for r, _ in pivots}
+    for j, row in enumerate(adj):
+        w[j], rem = divmod(dot(row, bp), det)
+        if rem:
+            u = [Fraction(0)] * m
+            for r, a in zip(pivots, row):
+                u[r] = Fraction(a, det)
+            return None, kernel, IntegerInfeasible(u, M, b)
     for r in range(m):
-        if r in pivot_rows:
-            continue
-        residual = Fraction(b[r]) - sum(
-            Fraction(H[j][r] * w[j]) for _, j in pivots
-        )
+        col = [h[r] for h in H]
+        residual = b[r] - dot(col, w)  # zero on the pivot rows, which w solves
         if residual:
-            psi = [Fraction(0)] * m
-            psi[r] = Fraction(1)
-            for _, j in pivots:
-                if H[j][r]:
-                    psi = [a - H[j][r] * c for a, c in zip(psi, funcs[j])]
-            u = tuple(a / (2 * residual) for a in psi)
+            u = [Fraction(0)] * m
+            u[r] = Fraction(1, 2 * residual)
+            for p, a in zip(pivots, mat_vec(transpose(adj), col[:K])):
+                u[p] = Fraction(-a, 2 * residual * det)
             return None, kernel, IntegerInfeasible(u, M, b)
     z0 = tuple(sum(U[j][i] * w[j] for j in range(k)) for i in range(k))
     return z0, kernel, None

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import lattice
-from .errors import BaseNotInGraph, DimensionMismatch, NotReductionType
+from .errors import BaseNotInGraph, DimensionMismatch, NotReductionType, SelfCheckFailed
 from .lattice import ExactScalar
 from .polytope import DelzantPolytope, as_point
 
@@ -320,9 +320,8 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
                 for s in range(f)
                 for j in range(N)
             )
-            assert all(
-                lattice.dot(row, z0) == b for row, b in zip(rows, rhs)
-            ), "the identity must solve its own constraint system"
+            if any(lattice.dot(row, z0) != b for row, b in zip(rows, rhs)):
+                raise SelfCheckFailed("the identity must solve its own constraint system")
         family = _AffineFamily(xi, frame, z0, kernel, free, fixed_cols)
         # determinant condition det(induced) = +-1, i.e. det B(t) = +-det S
         detpoly = _poly_det(_poly_matrix(family.B))

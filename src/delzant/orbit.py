@@ -18,7 +18,7 @@ builds them only along the path it answers with.
 from __future__ import annotations
 
 import operator
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from operator import add, mul
 from typing import Optional
@@ -108,9 +108,7 @@ def edge_key(source, target, direction, entry_facet, exit_facet) -> tuple:
     return (frozenset((source, target)), direction, entry_facet, exit_facet)
 
 
-def explore(
-    poly: DelzantPolytope, x, params: OrbitParams, *, target=None
-) -> OrbitGraph:
+def explore(poly: DelzantPolytope, x, params: OrbitParams) -> OrbitGraph:
     """BFS closure of x under partner moves of probes up to max_norm.
 
     Deterministic: probes are generated in canonical direction order and
@@ -118,23 +116,23 @@ def explore(
     connect stored points only, but parent chains may run through the
     one-shell frontier outside the window.  Every reached point carries
     its packed distance vector, from which `ProbeSolver` finds its probes.
-
-    With a `target`, the search stops at the point it looks for: it returns
-    as soon as the target is reached (its parent recorded), with the graph
-    found so far marked `truncated`.  BFS fixes a point's parent chain when
-    it first reaches the point, so `path_to(target)` is that of the full
-    search; a target never reached (or off the grid) leaves the full graph.
     """
-    return _graph(poly, *_search(poly, x, params, target))
+    return _graph(poly, _search(poly, x, params))
+
+
+_Search = namedtuple("_Search", "grid solver records nodes edges truncated end")
 
 
 def _search(poly, x, params, target=None):
-    """The packed BFS of `explore`: (grid, solver, records, nodes, edges,
-    truncated), with nodes and edges on point ids into the records.
+    """The packed BFS of `explore` as a `_Search`, with nodes and edges on
+    point ids into the records.
 
     records[i] = [packed point, packed distances, inside the window, depth,
     queued, parent move (u, i, hit) on ids], in discovery order; the root
-    is records[0].  A search that reaches the target ends with it.
+    is records[0].  A search that reaches the point `target` stops there,
+    marked truncated, with `end` its id; BFS fixes a point's parent chain
+    when it first reaches the point, so that chain is the full search's.
+    Otherwise (the target unreached or off the grid) `end` is None.
     """
     _check_window(poly, params)
     f = poly.fibre(x)
@@ -153,7 +151,7 @@ def _search(poly, x, params, target=None):
     D = grid.D
     n, N = poly.dim, poly.nfacets
     window = [(k, n + k, *grid.pack((bound,)), out) for k, bound, out in bounds]
-    goal = None if target is None else _packed(grid, target)
+    goal = grid.pack(target) if target is not None and grid.holds(target) else None
     records = [[grid.pack(root), grid.pack(f.ell), True, 0, True, None]]
     ids = {records[0][0]: 0}
     nodes = [0]
@@ -188,7 +186,7 @@ def _search(poly, x, params, target=None):
                 move = (u, v, hit)
                 records.append([row, ell_v, inside, depth_u + 1, inside, move])
                 if row == goal:
-                    return grid, solver, records, nodes, edges, True
+                    return _Search(grid, solver, records, nodes, edges, True, v)
                 if inside:
                     nodes.append(v)
                     queue.append(v)
@@ -205,13 +203,7 @@ def _search(poly, x, params, target=None):
                 if key not in edge_keys:
                     edge_keys.add(key)
                     edges.append(move or (u, v, hit))
-    return grid, solver, records, nodes, edges, truncated
-
-
-def _packed(grid, point):
-    """The packed row of a point on the grid, or None when it lies off it."""
-    point = as_point(point)
-    return grid.pack(point) if grid.holds(point) else None
+    return _Search(grid, solver, records, nodes, edges, truncated, None)
 
 
 def _probe_move(poly, grid, solver, records, move, source, target) -> ProbeMove:
@@ -222,9 +214,10 @@ def _probe_move(poly, grid, solver, records, move, source, target) -> ProbeMove:
                      source, target, solver.involution(hit))
 
 
-def _graph(poly, grid, solver, records, nodes, edges, truncated):
+def _graph(poly, search):
     """The OrbitGraph of a search on point ids: each reached point becomes
     scalars once, and each recorded move a ProbeMove once."""
+    grid, solver, records = search.grid, search.solver, search.records
     points = [grid.unpack(rec[0]) for rec in records]
     moves = {}
 
@@ -240,8 +233,9 @@ def _graph(poly, grid, solver, records, nodes, edges, truncated):
     for rec in records[1:]:
         move = rec[5]
         parents[points[move[1]]] = (points[move[0]], build(move))
-    return OrbitGraph(points[0], [points[i] for i in nodes],
-                      [build(move) for move in edges], truncated, parents)
+    return OrbitGraph(points[0], [points[i] for i in search.nodes],
+                      [build(move) for move in search.edges], search.truncated,
+                      parents)
 
 
 def _check_window(poly, params):
@@ -268,17 +262,9 @@ def replay_path(x, path) -> tuple:
     return cur
 
 
-def _reached(search, point):
-    """The id of the point in the search's records when the search ended
-    there, reaching it as its target; else None."""
-    grid, records = search[0], search[2]
-    last = len(records) - 1
-    return last if last and records[last][0] == _packed(grid, point) else None
-
-
 def _path(poly, search, v) -> list:
     """The recorded moves root -> record v, built for this path only."""
-    grid, solver, records = search[:3]
+    grid, solver, records = search.grid, search.solver, search.records
     path = []
     target = grid.unpack(records[v][0])
     while v:
@@ -302,8 +288,8 @@ def _meet(search_x, search_y):
     An orbit lies on the grid of its root, so a point of both orbits puts
     y on the grid of x and x on the grid of y: searches on different grids
     share no point, and on one grid equal points are equal rows."""
-    gx, rx = search_x[0], search_x[2]
-    gy, ry = search_y[0], search_y[2]
+    gx, rx = search_x.grid, search_x.records
+    gy, ry = search_y.grid, search_y.records
     if (gx.c, gx.D) != (gy.c, gy.D):
         return None
     seen = {rec[0]: j for j, rec in enumerate(ry) if j}
@@ -346,10 +332,10 @@ def decide(poly: DelzantPolytope, x, y, params: OrbitParams) -> Verdict:
     ambient integer solver may certify Distinct; absence of a path within
     the caps is never conclusive, hence Unknown.
 
-    Each path search is the packed search of `explore` with a `target`, so
-    it stops at the point it looks for; one that never finds it is the full
-    search, so verdicts and paths are those of two full searches and the
-    meet scan.  No graph is built: scalars, probes and moves are made only
+    Each path search is `_search`, the packed search of `explore`, given a
+    `target`, so it stops at the point it looks for; one that never finds
+    it is the full search, so verdicts and paths are those of two full
+    searches and the meet scan.  No graph is built: scalars, probes and moves are made only
     for the path returned.
     """
     _check_window(poly, params)
@@ -383,13 +369,12 @@ def decide(poly: DelzantPolytope, x, y, params: OrbitParams) -> Verdict:
             },
         )
     search_x = _search(poly, fx, params, target=y)
-    end = _reached(search_x, y)
-    if end is not None:
-        return Verdict("equivalent", path=tuple(_path(poly, search_x, end)))
+    if search_x.end is not None:
+        return Verdict("equivalent", path=tuple(_path(poly, search_x, search_x.end)))
     search_y = _search(poly, fy, params, target=x)
-    end = _reached(search_y, x)
-    if end is not None:
-        return Verdict("equivalent", path=_reversed(_path(poly, search_y, end)))
+    if search_y.end is not None:
+        return Verdict("equivalent",
+                       path=_reversed(_path(poly, search_y, search_y.end)))
     meet = _meet(search_x, search_y)
     if meet is not None:
         forward = _path(poly, search_x, meet[0])

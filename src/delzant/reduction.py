@@ -19,6 +19,7 @@ from .errors import (
     InducedNotPrimitive,
     NormalsDoNotSpan,
     NotAdmissible,
+    SelfCheckFailed,
     SliceInsideFacet,
     SliceMissesPolytope,
 )
@@ -191,7 +192,8 @@ def reduce(poly: DelzantPolytope, sl: AffineSlice) -> ReductionResult:
                 raise SliceInsideFacet(
                     f"the slice lies inside facet {i} (constant distance 0)"
                 )
-            assert c.sign() > 0, "slice meets the interior, so l_i(base) > 0"
+            if c.sign() <= 0:
+                raise SelfCheckFailed("slice meets the interior, so l_i(base) > 0")
             continue
         if (eta, c) in seen:
             continue

@@ -28,6 +28,7 @@ from delzant.lattice import scalar
 from delzant.lattice import mat_vec
 from delzant.monodromy import check_ambient, solve_ambient
 from delzant.spaces import oracle_orbit
+from test_lattice import assert_solve_matches_fraction_reference
 from test_polytope import fractions, sample_interior, unimodular_2x2
 
 
@@ -323,6 +324,25 @@ def test_ambient_system_matches_fraction_reference(case):
     for images in itertools.permutations(I_y, len(I_x)):
         args = (lx, ly, h2, free, dict(zip(I_x, images)), poly.nfacets)
         assert monodromy._ambient_system(*args) == fraction_ambient_system(*args)
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_solve_integer_matches_fraction_reference(case, monkeypatch):
+    """Every system that solve_ambient solves gets the answer and the
+    certificate of the Fraction elimination."""
+    poly, x, y = case
+    systems = []
+    solve = lattice.solve_integer
+
+    def recorded(M, b):
+        systems.append((M, b))
+        return solve(M, b)
+
+    monkeypatch.setattr(lattice, "solve_integer", recorded)
+    solve_ambient(poly, x, y, 0)
+    assert systems
+    for M, b in systems:
+        assert_solve_matches_fraction_reference(M, b)
 
 
 def test_sqrt2_cases_have_sqrt2_area_rows():

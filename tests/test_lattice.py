@@ -554,3 +554,104 @@ def test_row_form_solve_matches_column_form(M, data):
     else:
         assert cert.u == ref_cert.u and cert.to_json() == ref_cert.to_json()
         assert cert.verify()
+
+
+# -- solve_integer against the per-pivot Fraction elimination it replaced ------
+
+
+def fraction_solve_integer(M, b):
+    """solve_integer by Fraction back-substitution on the pivot rows, with
+    a Fraction functional per pivot that computes w_j from the rhs."""
+    m = len(M)
+    if len(b) != m:
+        raise DimensionMismatch("rhs length does not match row count")
+    H, U = row_hnf(transpose(M))
+    k = len(H)
+    kernel = [u for u, h in zip(U, H) if not any(h)]
+    pivots = []  # (row of M, row of H), increasing in both
+    for j, h in enumerate(H):
+        r = next((i for i, v in enumerate(h) if v), None)
+        if r is not None:
+            pivots.append((r, j))
+    w = [0] * k
+    funcs = {}  # row of H -> functional in Q^m computing w_j from the rhs
+    for r, j in pivots:
+        p = H[j][r]
+        val = Fraction(b[r])
+        func = [Fraction(0)] * m
+        func[r] = Fraction(1)
+        for r2, j2 in pivots:
+            if j2 >= j:
+                break
+            h = H[j2][r]
+            if h:
+                val -= h * w[j2]
+                func = [a - h * c for a, c in zip(func, funcs[j2])]
+        val = val / p
+        funcs[j] = tuple(f / p for f in func)
+        if val.denominator != 1:
+            return None, kernel, lattice.IntegerInfeasible(funcs[j], M, b)
+        w[j] = int(val)
+    pivot_rows = {r for r, _ in pivots}
+    for r in range(m):
+        if r in pivot_rows:
+            continue
+        residual = Fraction(b[r]) - sum(
+            Fraction(H[j][r] * w[j]) for _, j in pivots
+        )
+        if residual:
+            psi = [Fraction(0)] * m
+            psi[r] = Fraction(1)
+            for _, j in pivots:
+                if H[j][r]:
+                    psi = [a - H[j][r] * c for a, c in zip(psi, funcs[j])]
+            u = tuple(a / (2 * residual) for a in psi)
+            return None, kernel, lattice.IntegerInfeasible(u, M, b)
+    z0 = tuple(sum(U[j][i] * w[j] for j in range(k)) for i in range(k))
+    return z0, kernel, None
+
+
+def assert_solve_matches_fraction_reference(M, b):
+    """Equal z0, kernel and certificate, and a certificate that verifies;
+    returns which branch certified: "pivot" (a w_j off the integers, whose
+    witness is a row of L^-1 and so has u M != 0), "residual" (u M = 0,
+    u b = 1/2) or None (feasible)."""
+    z0, kernel, cert = solve_integer(M, b)
+    ref_z0, ref_kernel, ref_cert = fraction_solve_integer(M, b)
+    assert (z0, kernel) == (ref_z0, ref_kernel)
+    if ref_cert is None:
+        assert cert is None
+        assert mat_vec(M, z0) == tuple(b)
+        return None
+    assert cert.u == ref_cert.u and cert.to_json() == ref_cert.to_json()
+    assert cert.verify()
+    uM = [sum(u * row[j] for u, row in zip(cert.u, M)) for j in range(len(M[0]))]
+    return "pivot" if any(uM) else "residual"
+
+
+@st.composite
+def systems(draw):
+    """(M, b) with M up to 6 x 6 and b feasible (M z), perturbed (M z with
+    one entry moved) or random."""
+    m, k = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    M = tuple(tuple(draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k)))
+              for _ in range(m))
+    kind = draw(st.sampled_from(("feasible", "perturbed", "random")))
+    if kind == "random":
+        return M, tuple(draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m)))
+    b = list(mat_vec(M, draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))))
+    if kind == "perturbed" and m:
+        b[draw(st.integers(0, m - 1))] += draw(st.sampled_from((-2, -1, 1, 2)))
+    return M, tuple(b)
+
+
+def test_solve_integer_matches_the_fraction_reference():
+    branches = set()
+
+    @settings(max_examples=500, deadline=None)
+    @given(systems())
+    def check(system):
+        branches.add(assert_solve_matches_fraction_reference(*system))
+
+    check()
+    assert branches == {None, "pivot", "residual"}

@@ -28,7 +28,7 @@ from delzant.errors import (
     NotTransverse,
     UnboundedRay,
 )
-from delzant.orbit import ProbeMove, edge_key, replay_path
+from delzant.orbit import ProbeMove, _graph, _search, edge_key, replay_path
 from delzant.polytope import point_str
 from delzant.probe import (
     SymmetricProbe,
@@ -427,6 +427,11 @@ def test_edge_key_is_symmetric():
 # -- the decide that ran two full explores before its meet scan ----------------
 
 
+def explore_to(poly, x, params, target):
+    """The graph of the packed search from x that stops at `target`."""
+    return _graph(poly, _search(poly, x, params, as_point(target)))
+
+
 def reference_decide(poly, x, y, params, targeted=False):
     """decide() with full explores of both sides, then the meet scan; with
     `targeted`, the decide that read its paths off two graphs of explores
@@ -459,10 +464,10 @@ def reference_decide(poly, x, y, params, targeted=False):
                 "reduction_type": reduction_type,
             },
         )
-    graph_x = explore(poly, x, params, target=y if targeted else None)
+    graph_x = explore_to(poly, x, params, y) if targeted else explore(poly, x, params)
     if y in graph_x.parents:
         return Verdict("equivalent", path=tuple(graph_x.path_to(y)))
-    graph_y = explore(poly, y, params, target=x if targeted else None)
+    graph_y = explore_to(poly, y, params, x) if targeted else explore(poly, y, params)
     if x in graph_y.parents:
         backward = [m.reversed() for m in reversed(graph_y.path_to(x))]
         return Verdict("equivalent", path=tuple(backward))
@@ -615,7 +620,7 @@ class TestExploreTarget:
         x = (1, 2, scalar(1, 1, 2))
         full = explore(poly, x, params)
         for y in full.nodes[1::7] + [p for p in full.parents if p not in full.nodes][:3]:
-            graph = explore(poly, x, params, target=y)
+            graph = explore_to(poly, x, params, y)
             assert graph.truncated
             # BFS order up to the target, and the target's parent last
             assert list(graph.parents) == list(full.parents)[: len(graph.parents)]
@@ -630,7 +635,7 @@ class TestExploreTarget:
         x = (Fraction(1, 5), Fraction(1, 2))
         full = explore(poly, x, params)
         for target in ((Fraction(3, 10), Fraction(1, 2)), x):
-            graph = explore(poly, x, params, target=target)
+            graph = explore_to(poly, x, params, target)
             assert graph.to_json() == full.to_json()
             assert not graph.truncated
             assert list(graph.parents) == list(full.parents)
@@ -761,7 +766,7 @@ class TestPackedGrid:
         x = (1, 2, 0)
         full = explore(poly, x, params)
         for y in ((1, 2, Fraction(1, 7)), (2, 1, scalar(0, 1, 2)), (1, 2)):
-            graph = explore(poly, x, params, target=y)
+            graph = explore_to(poly, x, params, y)
             assert graph.to_json() == full.to_json()
             assert list(graph.parents) == list(full.parents)
         verdict = assert_decide_matches_reference(poly, x, (1, 2, Fraction(1, 7)), params)

@@ -1,0 +1,72 @@
+"""Self-checks raise `SelfCheckFailed`; none is an `assert`, which
+`python -O` strips."""
+
+import ast
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "delzant").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_assert_in_the_library(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} asserts on lines {lines}"
+
+
+_OPTIMIZED_CHECKS = textwrap.dedent("""
+    import sys
+
+    from delzant import lattice, monodromy, preset, reduction
+    from delzant.errors import SelfCheckFailed
+
+    if not sys.flags.optimize:
+        raise SystemExit("not run under -O")
+
+    def raises(call, *args):
+        try:
+            call(*args)
+        except SelfCheckFailed as exc:
+            print(exc)
+        else:
+            print("passed silently")
+
+    # 2 - sqrt(4) vanishes: 4 is no square-free D
+    raises(lattice._sign, 2, -1, 4)
+
+    # a doubled rhs stays integer-feasible, but the identity no longer solves it
+    real_system = monodromy._ambient_system
+
+    def doubled_rhs(*args):
+        rows, rhs = real_system(*args)
+        return rows, tuple(2 * b for b in rhs)
+
+    monodromy._ambient_system = doubled_rhs
+    cp2 = preset("cp2")
+    raises(monodromy.solve_ambient, cp2, cp2.interior_point(), cp2.interior_point(), 1)
+    monodromy._ambient_system = real_system
+
+    # the line y = -1 misses the orthant: facet y >= 0 is constant -1 on it
+    reduction.admissible = lambda poly, sl: reduction.AdmissibilityReport(True, ())
+    raises(reduction.reduce, preset("cn(2)"), reduction.AffineSlice((0, -1), [(1, 0)]))
+""")
+
+
+def test_checks_raise_under_python_O():
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    done = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "square-free D cannot make a + b*sqrt(D) vanish",
+        "the identity must solve its own constraint system",
+        "slice meets the interior, so l_i(base) > 0",
+    ]
