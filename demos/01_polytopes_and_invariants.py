@@ -36,10 +36,9 @@ except Exception as exc:
 
 print("\n== a polytope over Q(sqrt 2) ==")
 quad = DelzantPolytope(
-    2,
-    [((1, 0), scalar(1, Fraction(1, 2), 2)), ((0, 1), 1), ((-1, -1), 2)],
-    field_disc=2,
+    2, [((1, 0), scalar(1, Fraction(1, 2), 2)), ((0, 1), 1), ((-1, -1), 2)]
 )
+print(f"  the field is the offsets': D = {quad.field_disc}")
 w = quad.interior_point()
 print(f"  interior witness: {[str(c) for c in w]}")
 print(f"  distances there: {[str(v) for v in quad.ell(w)]}")

@@ -30,7 +30,6 @@ from .errors import (
     NonPositiveEntry,
     NotEquivalent,
     PreconditionViolated,
-    RankNotOne,
     SelfCheckFailed,
     WordSearchExhausted,
 )
@@ -125,10 +124,7 @@ def equivalent(a, b) -> bool:
 def integral_affine_length(entries) -> ExactScalar:
     """The g with entries = g * (primitive integer vector); rank-one only."""
     vals = _positive(entries)
-    lat = GammaLattice(vals)
-    if lat.rank != 1:
-        raise RankNotOne(f"excess subgroup has rank {lat.rank}")
-    return lat.generator()
+    return GammaLattice(vals).generator()
 
 
 # -- move replay on packed rows -----------------------------------------------
@@ -219,12 +215,12 @@ def _orthant(n):
     return DelzantPolytope(n, [(e, 0) for e in lattice.identity(n)])
 
 
-def replay(values, word: ProbeWord, cross_check: bool = True):
-    """Apply a move word, optionally verifying each move against a probe."""
+def replay(values, word: ProbeWord):
+    """Apply a move word, verifying each move against its orthant probe."""
     vals = _positive(values)
     grid = Grid(vals)
     row = list(grid.pack(vals))
-    _replay_row(row, word.moves, grid.D, cross_check)
+    _replay_row(row, word.moves, grid.D, True)
     return grid.unpack(row)
 
 

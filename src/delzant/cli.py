@@ -79,7 +79,6 @@ def polytope_from_data(data, source="<data>") -> DelzantPolytope:
         return DelzantPolytope(
             data["dim"],
             [(entry["normal"], entry["offset"]) for entry in data["facets"]],
-            data.get("field", {}).get("D", 1),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{source}: malformed polytope data ({exc})")
@@ -145,11 +144,10 @@ def _cmd_probes(args):
 def _cmd_partner(args):
     poly = parse_polytope(args.polytope)
     x = parse_point(args.point)
-    try:
-        v = tuple(int(c) for c in args.dir.split(","))
-    except ValueError:
+    v = parse_point(args.dir)
+    if any(c.b or c.c != 1 for c in v):
         raise ParseError(f"bad direction {args.dir!r}, expected integers a,b,...")
-    sigma = probe.shoot(poly, x, v)
+    sigma = probe.shoot(poly, x, tuple(c.a for c in v))
     y = probe.partner(sigma, x)
     return 0, {
         "probe": sigma.to_json(),

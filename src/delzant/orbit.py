@@ -40,6 +40,14 @@ class OrbitParams:
         caps = (self.max_norm, self.max_points, self.max_depth)
         if min(map(operator.index, caps)) < 1:
             raise ValueError("all caps must be >= 1")
+        if self.window is not None:
+            # exact bounds, as the CLI reads them: a float raises TypeError
+            window = tuple(tuple(None if b is None else ExactScalar.of(b) for b in pair)
+                           for pair in self.window)
+            for lo, hi in window:
+                if lo is not None and hi is not None and lo > hi:
+                    raise ValueError(f"empty window range {lo}..{hi}")
+            object.__setattr__(self, "window", window)
 
     def in_window(self, x) -> bool:
         return in_window(x, self.window)
@@ -142,7 +150,7 @@ def _search(poly, x, params, target=None):
     solver = probe_mod.solver(poly, params.max_norm)
     # (coordinate, bound, the sign of coordinate - bound outside the window)
     bounds = [
-        (k, ExactScalar.of(bound), out)
+        (k, bound, out)
         for k, pair in enumerate(params.window or ())
         for bound, out in zip(pair, (-1, 1))
         if bound is not None
@@ -307,10 +315,6 @@ class Verdict:
     reason: Optional[str] = None
     certificate: object = None
 
-    @property
-    def equivalent(self):
-        return self.kind == "equivalent"
-
     def to_json(self):
         out = {"verdict": self.kind}
         if self.path is not None:
@@ -336,7 +340,9 @@ def decide(poly: DelzantPolytope, x, y, params: OrbitParams) -> Verdict:
     `target`, so it stops at the point it looks for; one that never finds
     it is the full search, so verdicts and paths are those of two full
     searches and the meet scan.  No graph is built: scalars, probes and moves are made only
-    for the path returned.
+    for the path returned.  A search starts only from an endpoint inside
+    the window, and the meet scan runs only when both searches ran; a cap
+    never turns an answer into an error.
     """
     _check_window(poly, params)
     fx, fy = poly.fibre(x), poly.fibre(y)
@@ -368,15 +374,15 @@ def decide(poly: DelzantPolytope, x, y, params: OrbitParams) -> Verdict:
                 "reduction_type": reduction_type,
             },
         )
-    search_x = _search(poly, fx, params, target=y)
-    if search_x.end is not None:
+    search_x = params.in_window(x) and _search(poly, fx, params, target=y)
+    if search_x and search_x.end is not None:
         return Verdict("equivalent", path=tuple(_path(poly, search_x, search_x.end)))
-    search_y = _search(poly, fy, params, target=x)
-    if search_y.end is not None:
+    search_y = params.in_window(y) and _search(poly, fy, params, target=x)
+    if search_y and search_y.end is not None:
         return Verdict("equivalent",
                        path=_reversed(_path(poly, search_y, search_y.end)))
-    meet = _meet(search_x, search_y)
-    if meet is not None:
+    meet = search_x and search_y and _meet(search_x, search_y)
+    if meet:
         forward = _path(poly, search_x, meet[0])
         return Verdict("equivalent",
                        path=tuple(forward) + _reversed(_path(poly, search_y, meet[1])))

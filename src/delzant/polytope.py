@@ -68,14 +68,6 @@ class Facet:
         row = tuple((j, k) for j, k in enumerate(self.normal) if k)
         object.__setattr__(self, "row", row)
 
-    def support(self, x):
-        """Exact distance <x, normal> + offset of x to this facet."""
-        if len(x) != len(self.normal):
-            raise DimensionMismatch(
-                f"dot of lengths {len(x)} and {len(self.normal)}"
-            )
-        return _distance(x, self.row, self.offset)
-
 
 @dataclass(frozen=True)
 class Vertex:
@@ -125,15 +117,11 @@ class ChekanovInvariants:
 class DelzantPolytope:
     """Ambient dimension, ordered facets and the field D of their offsets."""
 
-    def __init__(self, dim, facets, field_disc=1):
+    def __init__(self, dim, facets):
         # ints only: int() would truncate a float normal or dimension unseen
         self.dim = dim = operator.index(dim)
-        self.field_disc = field_disc = operator.index(field_disc)
-        if not lattice.is_squarefree(field_disc):
-            raise ValidationError(f"field D = {field_disc} is not square-free and >= 1")
         built = []
-        seen = set()
-        planes = set()
+        keys = set()
         for f in facets:
             if isinstance(f, Facet):
                 normal, offset = f.normal, f.offset
@@ -149,22 +137,18 @@ class DelzantPolytope:
                 raise ValidationError("zero facet normal")
             if not lattice.is_primitive(normal):
                 raise ValidationError(f"non-primitive normal {normal}")
-            if offset.D != 1 and offset.D != field_disc:
-                raise ValidationError(
-                    f"offset {offset} lies outside Q(sqrt({field_disc}))"
-                )
             key = (normal, offset)
-            if key in seen:
+            if key in keys:
                 raise ValidationError(f"duplicate facet {key}")
-            seen.add(key)
-            plane = (tuple(-c for c in normal), -offset)
-            if plane in planes or key in planes:
+            if (tuple(-c for c in normal), -offset) in keys:
                 raise ValidationError(
                     f"coincident parallel facets along normal {normal}"
                 )
-            planes.add(key)
+            keys.add(key)
             built.append(Facet(normal, offset))
         self.facets = tuple(built)
+        # the field of the offsets; two irrational ones raise ValueError
+        self.field_disc = lattice.Grid([f.offset for f in built]).D
         witness = lattice.fm_witness(
             [(f.normal, f.offset, True) for f in self.facets], dim
         )
@@ -287,7 +271,7 @@ class DelzantPolytope:
             normal = lattice.mat_vec(Minv_t, f.normal)
             offset = f.offset - lattice.dot(t, normal)
             facets.append((normal, offset))
-        return DelzantPolytope(self.dim, facets, self.field_disc)
+        return DelzantPolytope(self.dim, facets)
 
     def boundary_data(self):
         """The boundary matrix (columns xi_i) and a basis of its kernel.

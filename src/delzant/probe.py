@@ -49,10 +49,6 @@ class SymmetricProbe:
         t = ExactScalar.of(t)
         return tuple(p + t * c for p, c in zip(self.entry_point, self.direction))
 
-    @property
-    def midpoint(self):
-        return self.at(self.length / 2)
-
     def to_json(self):
         return {
             "direction": list(self.direction),

@@ -98,11 +98,8 @@ class AdmissibilityReport:
 
 def _restricted_rows(poly, sl):
     """Facet functionals in slice coordinates: (eta_i, l_i(base))."""
-    rows = []
-    for f in poly.facets:
-        eta = tuple(lattice.dot(w, f.normal) for w in sl.dirs)
-        rows.append((eta, f.support(sl.base)))
-    return rows
+    return [(tuple(lattice.dot(w, f.normal) for w in sl.dirs), c)
+            for f, c in zip(poly.facets, poly.ell(sl.base))]
 
 
 def admissible(poly: DelzantPolytope, sl: AffineSlice) -> AdmissibilityReport:
@@ -212,9 +209,7 @@ def reduce(poly: DelzantPolytope, sl: AffineSlice) -> ReductionResult:
             raise InducedNotPrimitive(
                 f"facet {i} restricts to the non-primitive normal {eta}"
             )
-    reduced = DelzantPolytope(
-        len(sl.dirs), [(eta, c) for _, eta, c in kept], poly.field_disc
-    )
+    reduced = DelzantPolytope(len(sl.dirs), [(eta, c) for _, eta, c in kept])
     reduced.check_delzant()
     return ReductionResult(reduced, tuple(i for i, _, _ in kept), sl)
 

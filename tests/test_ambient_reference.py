@@ -380,7 +380,7 @@ def test_solve_ambient_matches_reference_on_affine_images(name, D, M, t_rat, t_q
     facets = [(f.normal, f.offset) for f in base.facets]
     rng.shuffle(facets)
     t = tuple(scalar(r, q, D) for r, q in zip(t_rat, t_quad))
-    image = DelzantPolytope(2, facets, D).apply_affine(M, t)
+    image = DelzantPolytope(2, facets).apply_affine(M, t)
     x = sample_interior(base, rng)
     y = rng.choice(oracle_orbit(name, x, ((-3, 3),) * 2) + [sample_interior(base, rng)])
     x, y = (tuple(a + b for a, b in zip(mat_vec(M, p), t)) for p in (x, y))

@@ -160,24 +160,36 @@ class TestPolytopeFiles:
         assert code == 2 and not out
         assert json.loads(err)["error"] == "ParseError"
 
-    @pytest.mark.parametrize("disc, offset", [(4, "1"), (0, "1+5√0"), (-1, "1")])
+    @pytest.mark.parametrize("disc, offset", [(4, "1"), (-1, "1")])
     def test_field_disc_not_squarefree_exits_2(self, capsys, tmp_path, disc, offset):
-        # D = 0 once read 1+5√0 as 1 and exited 0
+        # the field is the offsets': offset + 1√disc is no scalar
         path = tmp_path / "field.json"
-        path.write_text(json.dumps({"dim": 1, "field": {"D": disc}, "facets": [
-            {"normal": [1], "offset": offset},
+        path.write_text(json.dumps({"dim": 1, "facets": [
+            {"normal": [1], "offset": f"{offset}+1√{disc}"},
         ]}))
         code, out, err = run(capsys, "check", str(path))
         assert code == 2 and not out
-        assert json.loads(err)["error"] == "ValidationError"
+        assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("field", [{"D": 4}, {"D": 0}, {"D": 2.0}, 2],
+                             ids=["D4", "D0", "float-D", "not-an-object"])
+    def test_file_field_is_written_not_read(self, capsys, tmp_path, field):
+        # a declared field once bounded the offsets; rational ones give field 1
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"dim": 1, "field": field, "facets": [
+            {"normal": [1], "offset": "0"}, {"normal": [-1], "offset": "1"},
+        ]}))
+        assert parse_polytope(str(path)).field_disc == 1
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0 and json.loads(out)["delzant"]
 
     def test_large_field_disc_exits_2(self, tmp_path):
         # trial division up to sqrt(D) never ends on this D, so the CLI runs
         # in a child process that a timeout stops
         disc = 1000000000000000000039
         path = tmp_path / "field.json"
-        path.write_text(json.dumps({"dim": 1, "field": {"D": disc}, "facets": [
-            {"normal": [1], "offset": "1"},
+        path.write_text(json.dumps({"dim": 1, "facets": [
+            {"normal": [1], "offset": f"1+1√{disc}"},
         ]}))
         src = Path(__file__).resolve().parent.parent / "src"
         parts = [str(src), os.environ.get("PYTHONPATH", "")]
@@ -189,15 +201,6 @@ class TestPolytopeFiles:
             error = json.loads(done.stderr)
             assert error["error"] == "ParseError"
             assert f"field discriminant {disc} exceeds the bound" in error["message"]
-
-    def test_float_field_disc_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "field.json"
-        path.write_text(json.dumps(
-            {"dim": 1, "field": {"D": 2.0}, "facets": [{"normal": [1], "offset": "1"}]}
-        ))
-        code, out, err = run(capsys, "check", str(path))
-        assert code == 2 and not out
-        assert json.loads(err)["error"] == "ParseError"
 
     @pytest.mark.parametrize("dim, normal", [(2.9, [1, 0]), (2, [1.5, 0])])
     def test_float_normal_or_dim_exits_2(self, capsys, tmp_path, dim, normal):
@@ -223,16 +226,13 @@ def _write(tmp_path, data):
     (lambda tmp: ["invariants", "preset:cp2", "--point", "-1/2,1+1/0√2"], "ParseError"),
     (lambda tmp: ["check", _write(tmp, {"dim": 1, "facets": [{"normal": [1], "offset": "1/0"}]})],
      "ParseError"),
-    (lambda tmp: ["check", _write(tmp, {"dim": 1, "field": 2,
-                                        "facets": [{"normal": [1], "offset": "1"}]})],
-     "ParseError"),
     (lambda tmp: ["chekanov", "--tuple", "1,1+1√4"], "ParseError"),
-    (lambda tmp: ["check", _write(tmp, {"dim": 1, "field": {"D": 2},
-                                        "facets": [{"normal": [1], "offset": "1+1√3"}]})],
-     "ValidationError"),
     (lambda tmp: ["chekanov", "--tuple", "1+1√2,1+1√3"], "ValueError"),
-], ids=["zero-denominator", "zero-denominator-quad", "json-zero-denominator", "field-not-object",
-        "sqrt4-scalar", "offset-outside-file-field", "mixed-fields"])
+    (lambda tmp: ["check", _write(tmp, {"dim": 1, "facets": [
+        {"normal": [1], "offset": "1+1√2"}, {"normal": [-1], "offset": "1+1√3"}]})],
+     "ParseError"),
+], ids=["zero-denominator", "zero-denominator-quad", "json-zero-denominator",
+        "sqrt4-scalar", "mixed-fields", "file-mixed-fields"])
 def test_malformed_input_names_a_library_error(make_argv, error, capsys, tmp_path):
     # these once printed ZeroDivisionError, AttributeError and ValueError, or exited 0;
     # two fields meet only in the library's mixed-field rule, a ValueError
@@ -433,7 +433,8 @@ class TestDispatch:
         assert code == 1
         assert json.loads(out)["error"] == "UnboundedRay"
 
-    @pytest.mark.parametrize("bad", ["1.7,-1", "a,b"])
+    # int() once read 1_0 as 10, and so exited 1 with NotTransverse
+    @pytest.mark.parametrize("bad", ["1.7,-1", "a,b", "1_0,-1", "1/2,1", "1+1√2,1"])
     def test_partner_bad_direction_exits_2(self, capsys, bad):
         code, out, err = run(
             capsys, "partner", "preset:cn(2)", "--point", "1,3", "--dir", bad

@@ -125,7 +125,7 @@ class TestExactScalar:
             calls = [
                 lambda: lattice.scalar(1, 1, D),
                 lambda: ExactScalar.of(f"1+1√{D}"),
-                lambda: DelzantPolytope(1, [((1,), 0), ((-1,), 1)], D),
+                lambda: DelzantPolytope(1, [((1,), 0), ((-1,), f"1+1√{D}")]),
             ]
             for call in calls:
                 try:

@@ -1,7 +1,6 @@
 """Orbit exploration and the equivalence decision procedure."""
 
 import random
-import re
 from collections import deque
 from fractions import Fraction
 
@@ -48,6 +47,16 @@ from test_polytope import fractions, sample_interior, unimodular_2x2
 def test_float_caps_rejected(caps):
     with pytest.raises(TypeError):
         OrbitParams(**caps)
+
+
+def test_window_checked_at_construction():
+    # a reversed range was once taken and answered with
+    with pytest.raises(ValueError, match="empty window range"):
+        OrbitParams(max_norm=1, window=((Fraction(1, 2), 2), (1, 0)))
+    with pytest.raises(TypeError):
+        OrbitParams(max_norm=1, window=((0.5, 2), (0, 1)))
+    params = OrbitParams(max_norm=1, window=((Fraction(1, 2), None), ("1+1√2", 3)))
+    assert params.window == ((scalar(Fraction(1, 2)), None), (scalar(1, 1, 2), scalar(3)))
 
 
 class TestExplore:
@@ -164,6 +173,24 @@ class TestExplore:
 
 
 class TestDecide:
+    # (2/5, 3/10) lies outside this window, (2/5, 1/10) inside it
+    S2S2_WINDOW = ((Fraction(-1, 2), Fraction(1, 2)), (Fraction(-1, 4), Fraction(1, 4)))
+
+    @pytest.mark.parametrize("x, y", [
+        ((Fraction(2, 5), Fraction(1, 10)), (Fraction(2, 5), Fraction(3, 10))),
+        ((Fraction(2, 5), Fraction(3, 10)), (Fraction(2, 5), Fraction(1, 10))),
+    ], ids=["y-outside", "x-outside"])
+    def test_endpoint_outside_the_window_gets_an_answer(self, x, y):
+        # this once raised NotInterior: the window cap turned an answer into an error
+        poly = preset("s2s2_monotone")
+        params = OrbitParams(max_norm=2, max_points=60, window=self.S2S2_WINDOW)
+        verdict = decide(poly, x, y, params)
+        unbounded = decide(poly, x, y, OrbitParams(max_norm=2, max_points=60))
+        assert verdict.to_json() == unbounded.to_json()
+        assert verdict.kind == "distinct" and "integer-infeasible" in verdict.reason
+        with pytest.raises(NotInterior, match="lies outside the window"):
+            explore(poly, (Fraction(2, 5), Fraction(3, 10)), params)
+
     def test_c2_swap(self):
         verdict = decide(
             preset("cn(2)"), (1, 3), (3, 1), OrbitParams(max_norm=1, max_points=40)
@@ -435,7 +462,8 @@ def explore_to(poly, x, params, target):
 def reference_decide(poly, x, y, params, targeted=False):
     """decide() with full explores of both sides, then the meet scan; with
     `targeted`, the decide that read its paths off two graphs of explores
-    that stop at their targets."""
+    that stop at their targets.  Only an endpoint inside the window is
+    explored, and the meet scan needs both graphs."""
     x = poly.fibre(x).point
     y = poly.fibre(y).point
     if x == y:
@@ -464,18 +492,26 @@ def reference_decide(poly, x, y, params, targeted=False):
                 "reduction_type": reduction_type,
             },
         )
-    graph_x = explore_to(poly, x, params, y) if targeted else explore(poly, x, params)
-    if y in graph_x.parents:
+    def graph(source, target):
+        if not params.in_window(source):
+            return None
+        if targeted:
+            return explore_to(poly, source, params, target)
+        return explore(poly, source, params)
+
+    graph_x = graph(x, y)
+    if graph_x is not None and y in graph_x.parents:
         return Verdict("equivalent", path=tuple(graph_x.path_to(y)))
-    graph_y = explore_to(poly, y, params, x) if targeted else explore(poly, y, params)
-    if x in graph_y.parents:
+    graph_y = graph(y, x)
+    if graph_y is not None and x in graph_y.parents:
         backward = [m.reversed() for m in reversed(graph_y.path_to(x))]
         return Verdict("equivalent", path=tuple(backward))
     meet = None
-    for p in graph_x.parents:
-        if p in graph_y.parents:
-            meet = p
-            break
+    if graph_x is not None and graph_y is not None:
+        for p in graph_x.parents:
+            if p in graph_y.parents:
+                meet = p
+                break
     if meet is not None:
         forward = graph_x.path_to(meet)
         backward = [m.reversed() for m in reversed(graph_y.path_to(meet))]
@@ -650,11 +686,10 @@ SIGNED_PERMUTATIONS = [((s, 0), (0, r)) for s in (1, -1) for r in (1, -1)] + [
 
 
 def affine_image(name, D, M, t_rat, t_quad):
-    """(preset, its image under x -> Mx + t in field D, t) for t in Q(sqrt D)^2."""
+    """(preset, its image under x -> Mx + t, t) for t in Q(sqrt D)^2."""
     base = preset(name)
-    poly = DelzantPolytope(2, [(f.normal, f.offset) for f in base.facets], D)
     t = tuple(scalar(r, q, D) for r, q in zip(t_rat, t_quad))
-    return base, poly.apply_affine(M, t), t
+    return base, base.apply_affine(M, t), t
 
 
 def moved(M, x, t):
@@ -706,12 +741,8 @@ class TestPackedGrid:
     """Roots, polytopes, windows and targets whose denominators and fields
     differ, against the scalar references."""
 
-    S2S2_D2 = DelzantPolytope(
-        2, [(f.normal, f.offset) for f in preset("s2s2_monotone").facets], 2
-    )
-
     def test_root_with_mixed_denominators(self):
-        poly = self.S2S2_D2
+        poly = preset("s2s2_monotone")
         x = (Fraction(1, 3), scalar(Fraction(1, 2), Fraction(1, 5), 2))
         params = OrbitParams(max_norm=2, max_points=60)
         assert_matches_reference(poly, x, params)
@@ -732,11 +763,9 @@ class TestPackedGrid:
             assert_decide_matches_reference(preset("cn(3)"), x, y, params)
 
     def test_field_2_offsets(self):
-        cn3 = preset("cn(3)")
-        poly = DelzantPolytope(3, [(f.normal, f.offset) for f in cn3.facets], 2)
         t = (scalar(0, 1, 2), 0, Fraction(1, 3))
-        poly = poly.apply_affine(lattice.identity(3), t)
-        assert {f.offset.D for f in poly.facets} == {1, 2}
+        poly = preset("cn(3)").apply_affine(lattice.identity(3), t)
+        assert {f.offset.D for f in poly.facets} == {1, 2} and poly.field_disc == 2
         x = moved(lattice.identity(3), (1, 2, scalar(1, 1, 2)), t)
         params = OrbitParams(max_norm=1, max_points=80,
                              window=tuple((c, c + 6) for c in t))
@@ -779,14 +808,9 @@ class TestPackedGrid:
 def assert_path_only_decide(poly, x, y, params):
     """decide() builds moves only along its path, yet answers as the decide
     that read its paths off the graphs of both targeted explores; every
-    path replays.  A y outside the window raises the same error in both,
-    unless x's search reaches it in the shell."""
-    try:
-        graphs = reference_decide(poly, x, y, params, targeted=True)
-    except NotInterior as exc:
-        with pytest.raises(NotInterior, match=re.escape(str(exc))):
-            decide(poly, x, y, params)
-        return None
+    path replays.  An endpoint outside the window is never searched from,
+    so it gets an answer, not an error."""
+    graphs = reference_decide(poly, x, y, params, targeted=True)
     verdict = decide(poly, x, y, params)
     assert verdict.to_json() == graphs.to_json()
     if verdict.kind == "equivalent":

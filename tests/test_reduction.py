@@ -109,6 +109,14 @@ class TestReduce:
         )
         assert strip_width(result.reduced) == scalar(1)
 
+    def test_field_of_the_offsets_survives_reduction(self):
+        # the reduced offsets are the distances l_i(base): 2-√2 stays in Q(√2)
+        poly = preset("cn(2)").apply_affine(((1, 0), (0, 1)), (scalar(0, 1, 2), 0))
+        result = reduce(poly, AffineSlice((2, 3), [(1, -1)]))
+        assert poly.field_disc == result.reduced.field_disc == 2
+        assert result.to_json()["reduced"]["field"] == {"D": 2}
+        assert interval_length(result.reduced) == scalar(5, -1, 2)
+
     def test_vertical_slice_of_square(self):
         result = reduce(preset("s2s2_monotone"), AffineSlice((0, 0), [(0, 1)]))
         assert interval_length(result.reduced) == scalar(2)
@@ -187,7 +195,7 @@ def test_one_pass_prune_matches_the_restart_loop():
         kept = restart_prune(candidates, len(sl.dirs))
         assert result.facet_origin == tuple(i for i, _, _ in kept)
         assert result.reduced.to_json() == DelzantPolytope(
-            len(sl.dirs), [(eta, c) for _, eta, c in kept], poly.field_disc
+            len(sl.dirs), [(eta, c) for _, eta, c in kept]
         ).to_json()
         compared += 1
         pruned += len(candidates) - len(kept) >= 2

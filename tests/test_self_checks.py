@@ -1,5 +1,6 @@
 """Self-checks raise `SelfCheckFailed`; none is an `assert`, which
-`python -O` strips."""
+`python -O` strips.  No float reaches a decision: floats are made only
+where the CLI draws an SVG and where a scalar converts itself."""
 
 import ast
 import os
@@ -19,6 +20,62 @@ def test_no_assert_in_the_library(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} asserts on lines {lines}"
+
+
+# the functions, as module.qualified_name, that may make floats
+_FLOAT_PLACES = {"float": {"cli.render_svg", "cli._facet_segment"},
+                 "math.sqrt": {"lattice.ExactScalar.__float__"}}
+
+
+def _float_sites(tree):
+    """(kind, lineno, qualified name of the enclosing def) of each float()
+    call, float literal and use of math.sqrt in a module's syntax tree."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "float"):
+                sites.append(("float", child.lineno, scope))
+            elif isinstance(child, ast.Constant) and isinstance(child.value, float):
+                sites.append(("float", child.lineno, scope))
+            elif (isinstance(child, ast.Attribute) and child.attr == "sqrt"
+                  and isinstance(child.value, ast.Name) and child.value.id == "math"):
+                sites.append(("math.sqrt", child.lineno, scope))
+            elif (isinstance(child, ast.ImportFrom) and child.module == "math"
+                  and any(alias.name == "sqrt" for alias in child.names)):
+                sites.append(("math.sqrt", child.lineno, scope))
+            visit(child, inner)
+
+    visit(tree, "")
+    return sites
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "delzant").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_float_outside_rendering(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    stray = [(kind, line, scope) for kind, line, scope in _float_sites(tree)
+             if f"{path.stem}.{scope}" not in _FLOAT_PLACES[kind]]
+    assert not stray, f"{path.name} makes floats at {stray}"
+
+
+def test_the_float_guard_sees_each_kind():
+    tree = ast.parse(textwrap.dedent("""
+        import math
+        from math import sqrt
+        def decide(x):
+            return float(x) < 0.5 or math.sqrt(x) > 1
+        def render_svg(w):
+            return float(w) * 100.0
+    """))
+    assert _float_sites(tree) == [
+        ("math.sqrt", 3, ""), ("float", 5, "decide"), ("float", 5, "decide"),
+        ("math.sqrt", 5, "decide"), ("float", 7, "render_svg"), ("float", 7, "render_svg"),
+    ]
 
 
 _OPTIMIZED_CHECKS = textwrap.dedent("""

@@ -8,12 +8,8 @@ import pytest
 from delzant import DelzantPolytope, OrbitParams, as_point, explore, preset, scalar, spaces
 from delzant.errors import NotInterior, OracleUnavailable, UnknownPreset
 from delzant.monodromy import holonomy_group
-from delzant.spaces import (
-    h1_pass_c2_x_ts1,
-    h1_pass_ts1_x_s2,
-    oracle_monodromy,
-    oracle_orbit,
-)
+from delzant.spaces import oracle_monodromy, oracle_orbit
+from oracles import h1_pass_c2_x_ts1, h1_pass_ts1_x_s2
 
 
 class TestPresets:
