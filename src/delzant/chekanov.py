@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from operator import add, mul, ne
 
 from . import lattice, probe
@@ -33,41 +33,35 @@ from .errors import (
     SelfCheckFailed,
     WordSearchExhausted,
 )
-from .lattice import ExactScalar, GammaLattice, Grid, _sign
+from .lattice import ExactScalar, GammaLattice, Grid, Record, _sign
 from .polytope import DelzantPolytope, as_point
 
 
 @dataclass(frozen=True)
-class ReducedVector:
+class ReducedVector(Record):
     d: ExactScalar
     mult: int
     entries: tuple  # sorted positive excesses
 
+
+class _Move:
+    """A move, written as its lower-case name and its indices."""
+
     def to_json(self):
-        return {
-            "d": str(self.d),
-            "mult": self.mult,
-            "entries": [str(e) for e in self.entries],
-        }
+        return [type(self).__name__.lower(), *astuple(self)]
 
 
 @dataclass(frozen=True)
-class Swap:
+class Swap(_Move):
     i: int
     j: int
 
-    def to_json(self):
-        return ["swap", self.i, self.j]
-
 
 @dataclass(frozen=True)
-class Elswap:
+class Elswap(_Move):
     i: int
     j: int
     k: int
-
-    def to_json(self):
-        return ["elswap", self.i, self.j, self.k]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .errors import (
     WordSearchExhausted,
 )
 from .lattice import ExactScalar
-from .polytope import DelzantPolytope
+from .polytope import DelzantPolytope, window
 from .reduction import AffineSlice
 
 # exit codes of the outcome kinds of `monodromy.solve_ambient` and `orbit.decide`
@@ -48,16 +48,16 @@ def parse_point(text: str):
 
 
 def parse_window(text: str):
-    out = []
+    pairs = []
     for part in text.split(","):
         lo, sep, hi = part.partition("..")
         if not sep:
             raise ParseError(f"bad window range {part!r}, expected lo..hi")
-        lo, hi = (None if s in ("*", "") else parse_scalar(s) for s in (lo, hi))
-        if lo is not None and hi is not None and lo > hi:
-            raise ParseError(f"empty window range {part!r}")
-        out.append((lo, hi))
-    return tuple(out)
+        pairs.append([None if s in ("*", "") else s for s in (lo, hi)])
+    try:
+        return window(pairs)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def parse_polytope(source: str) -> DelzantPolytope:
@@ -95,7 +95,8 @@ def _orbit_params(args):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: return (exit_code, payload).
+# Subcommand handlers: return (exit_code, payload), the payload an SVG text
+# or library values that `main` writes once through `lattice.to_json`.
 # ---------------------------------------------------------------------------
 
 
@@ -104,32 +105,18 @@ def _cmd_check(args):
     try:
         vertices = poly.check_delzant()
     except NotDelzant as exc:
-        return 1, {
-            "delzant": False,
-            "vertex": [str(c) for c in exc.vertex],
-            "det": exc.det,
-            "reason": str(exc),
-        }
-    return 0, {
-        "delzant": True,
-        "vertices": [
-            {
-                "point": [str(c) for c in v.point],
-                "active": list(v.active),
-                "det": v.det,
-            }
-            for v in vertices
-        ],
-    }
+        return 1, {"delzant": False, "vertex": exc.vertex, "det": exc.det,
+                   "reason": str(exc)}
+    return 0, {"delzant": True, "vertices": vertices}
 
 
 def _cmd_invariants(args):
     poly = parse_polytope(args.polytope)
     f = poly.fibre(parse_point(args.point))
     return 0, {
-        "invariants": poly.invariants(f).to_json(),
-        "ell": [str(v) for v in f.ell],
-        "de_germ": {"d": str(f.d), "active": list(f.active)},
+        "invariants": poly.invariants(f),
+        "ell": f.ell,
+        "de_germ": {"d": f.d, "active": f.active},
         "reduction_type": poly.normals_span(),
     }
 
@@ -138,7 +125,7 @@ def _cmd_probes(args):
     poly = parse_polytope(args.polytope)
     x = parse_point(args.point)
     probes = probe.enumerate_probes(poly, x, args.max_norm)
-    return 0, {"count": len(probes), "probes": [s.to_json() for s in probes]}
+    return 0, {"count": len(probes), "probes": probes}
 
 
 def _cmd_partner(args):
@@ -148,19 +135,14 @@ def _cmd_partner(args):
     if any(c.b or c.c != 1 for c in v):
         raise ParseError(f"bad direction {args.dir!r}, expected integers a,b,...")
     sigma = probe.shoot(poly, x, tuple(c.a for c in v))
-    y = probe.partner(sigma, x)
-    return 0, {
-        "probe": sigma.to_json(),
-        "partner": [str(c) for c in y],
-        "involution": [list(r) for r in probe.involution(sigma)],
-    }
+    return 0, {"probe": sigma, "partner": probe.partner(sigma, x),
+               "involution": probe.involution(sigma)}
 
 
 def _cmd_orbit(args):
     poly = parse_polytope(args.polytope)
     x = parse_point(args.point)
-    graph = orbit.explore(poly, x, _orbit_params(args))
-    return 0, graph.to_json()
+    return 0, orbit.explore(poly, x, _orbit_params(args))
 
 
 def _cmd_monodromy(args):
@@ -168,7 +150,7 @@ def _cmd_monodromy(args):
     x = parse_point(args.point)
     graph = orbit.explore(poly, x, _orbit_params(args))
     group = monodromy.holonomy_group(graph, x, cap=args.cap)
-    return 0, {"orbit_size": len(graph.nodes), "group": group.to_json()}
+    return 0, {"orbit_size": len(graph.nodes), "group": group}
 
 
 def _cmd_ambient(args):
@@ -176,7 +158,7 @@ def _cmd_ambient(args):
     x = parse_point(args.source)
     y = parse_point(args.target)
     outcome = monodromy.solve_ambient(poly, x, y, bound=args.bound)
-    return _KIND_CODES[outcome.kind], outcome.to_json()
+    return _KIND_CODES[outcome.kind], outcome
 
 
 def _cmd_equivalent(args):
@@ -184,7 +166,7 @@ def _cmd_equivalent(args):
     x = parse_point(args.source)
     y = parse_point(args.target)
     verdict = orbit.decide(poly, x, y, _orbit_params(args))
-    return _KIND_CODES[verdict.kind], verdict.to_json()
+    return _KIND_CODES[verdict.kind], verdict
 
 
 def _cmd_reduce(args):
@@ -194,24 +176,21 @@ def _cmd_reduce(args):
         sl = AffineSlice(data["base"], data["dirs"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"bad slice {args.slice!r}: {exc}")
-    result = reduction.reduce(poly, sl)
-    return 0, result.to_json()
+    return 0, reduction.reduce(poly, sl)
 
 
 def _cmd_lift(args):
     poly = parse_polytope(args.polytope)
     lift = reduction.delzant_lift(poly)
-    payload = lift.to_json()
+    payload = lattice.to_json(lift)
     if args.point:
-        x = parse_point(args.point)
-        payload["lifted_point"] = [str(v) for v in lift.lift_point(x)]
+        payload["lifted_point"] = lift.lift_point(parse_point(args.point))
     return 0, payload
 
 
 def _cmd_chekanov(args):
     a = parse_point(args.tuple)
-    red = chekanov.reduce(a)
-    payload = {"reduced": red.to_json(), "gamma": chekanov.gamma(a).to_json()}
+    payload = {"reduced": chekanov.reduce(a), "gamma": chekanov.gamma(a)}
     if not args.to:
         return 0, payload
     b = parse_point(args.to)
@@ -221,8 +200,8 @@ def _cmd_chekanov(args):
         return 1, payload
     try:
         word = chekanov.probe_word(a, b)
-        payload["word"] = word.to_json()
-        payload["replay"] = [str(v) for v in chekanov.replay(a, word)]
+        payload["word"] = word
+        payload["replay"] = chekanov.replay(a, word)
     except WordSearchExhausted as exc:
         payload["word"] = None
         payload["note"] = str(exc)
@@ -480,7 +459,7 @@ def main(argv=None) -> int:
     if isinstance(payload, str):
         print(payload)
     else:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(lattice.to_json(payload), sort_keys=True))
     return code
 
 

@@ -5,13 +5,16 @@ fixed square-free integer (D = 1 collapses to plain Q).  All comparisons
 are decided exactly; no floating point enters any computation.  Integer
 vectors and matrices are plain tuples of rows.  One row Hermite form,
 `row_hnf`, with its unimodular transform gives canonical lattice bases,
-integer kernels and integer linear solving.
+integer kernels and integer linear solving.  `to_json` and `Record` are the
+one JSON encoding of library values.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -55,7 +58,8 @@ _SCALAR_RE = re.compile(
 def _ratio(value):
     """(numerator, denominator) of an exact rational value: an int, a
     Fraction or an INT | INT/INT text.  Floats are refused, because their
-    binary expansions would enter exact decisions unseen."""
+    binary expansions would enter exact decisions unseen, and so are bools,
+    which JSON and the CLI grammar keep apart from numbers."""
     kind = type(value)
     if kind is int:
         return value, 1
@@ -66,8 +70,8 @@ def _ratio(value):
         num, _, den = m["rat"].partition("/")
         return int(num), int(den or 1)
     if kind is not Fraction:
-        if isinstance(value, float):
-            raise TypeError(f"a float is not an exact scalar: {value!r}")
+        if isinstance(value, (float, bool)):
+            raise TypeError(f"a {type(value).__name__} is not an exact scalar: {value!r}")
         value = Fraction(value)
     return value.numerator, value.denominator
 
@@ -401,6 +405,14 @@ def scalar(rat, quad=0, D=1) -> ExactScalar:
 # ---------------------------------------------------------------------------
 # Integer vectors and matrices (plain tuples; rows for matrices).
 # ---------------------------------------------------------------------------
+
+
+def integer(value) -> int:
+    """An int read exactly: TypeError on a float, which int() would truncate
+    unseen, and on a bool, which JSON keeps apart from numbers."""
+    if type(value) is bool:
+        raise TypeError(f"a bool is not an integer: {value!r}")
+    return operator.index(value)
 
 
 def dot(u, v):
@@ -807,3 +819,40 @@ def fm_witness(constraints, nvars):
         else:
             point[var] = ZERO
     return tuple(point)
+
+
+# ---------------------------------------------------------------------------
+# JSON encoding of library values.
+# ---------------------------------------------------------------------------
+
+
+def to_json(value):
+    """The JSON form of a library value: a scalar as its grammar text, an
+    int, bool, str or None as itself, a tuple or list as a list and a dict
+    as a dict of encoded items; any other value writes itself with its
+    `to_json`.  A float or a Fraction has none and raises, since no inexact
+    or second scalar form may reach the output."""
+    kind = type(value)
+    if kind is ExactScalar:
+        return str(value)
+    if kind is tuple or kind is list:
+        return [to_json(v) for v in value]
+    if kind is int or kind is str or kind is bool or value is None:
+        return value
+    if kind is dict:
+        return {k: to_json(v) for k, v in value.items()}
+    method = getattr(value, "to_json", None)
+    if method is None:
+        raise TypeError(f"no JSON form for {kind.__name__} {value!r}")
+    return method()
+
+
+class Record:
+    """A dataclass whose JSON form is a dict of the fields its repr shows,
+    each written by `to_json`."""
+
+    __slots__ = ()
+
+    def to_json(self):
+        return {f.name: to_json(getattr(self, f.name))
+                for f in dataclasses.fields(self) if f.repr}

@@ -16,35 +16,26 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from . import lattice
 from .errors import BaseNotInGraph, DimensionMismatch, NotReductionType, SelfCheckFailed
-from .lattice import ExactScalar
+from .lattice import ExactScalar, Record
 from .polytope import DelzantPolytope, as_point
 
 
 @dataclass(frozen=True)
-class MatrixGroup:
+class MatrixGroup(Record):
     generators: tuple
     elements: tuple          # closure, complete iff not truncated
     truncated: bool
     cap: int
 
-    def to_json(self):
-        return {
-            "generators": [[list(r) for r in g] for g in self.generators],
-            "elements": [[list(r) for r in g] for g in self.elements],
-            "truncated": self.truncated,
-            "cap": self.cap,
-        }
-
 
 def _check_cap(cap):
-    if operator.index(cap) < 1:
+    if lattice.integer(cap) < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
 
 
@@ -53,7 +44,7 @@ def mulclose(generators, cap: int) -> MatrixGroup:
     _check_cap(cap)
     gens = []
     for g in generators:
-        g = tuple(tuple(map(operator.index, row)) for row in g)
+        g = tuple(tuple(map(lattice.integer, row)) for row in g)
         if g not in gens:
             gens.append(g)
     n = len(gens[0]) if gens else 0
@@ -94,7 +85,9 @@ def holonomy_group(graph, base, cap: int = 256) -> MatrixGroup:
 
     Builds a spanning tree of the `orbit.OrbitGraph` from the base point;
     each non-tree edge (self-loops included) contributes the transport
-    product around its fundamental cycle.
+    product around its fundamental cycle.  Edges are told apart by their
+    index in `graph.edges`, and a move's transport is an involution, so it
+    walks its edge either way.
     """
     _check_cap(cap)
     base = as_point(base)
@@ -103,24 +96,23 @@ def holonomy_group(graph, base, cap: int = 256) -> MatrixGroup:
         raise BaseNotInGraph(f"base point is not a stored node of the graph")
     n = len(base)
     adjacency = {}
-    for move in graph.edges:
-        adjacency.setdefault(move.source, []).append(move)
-        adjacency.setdefault(move.target, []).append(move.reversed())
+    for index, move in enumerate(graph.edges):
+        adjacency.setdefault(move.source, []).append((index, move.target, move.transport))
+        adjacency.setdefault(move.target, []).append((index, move.source, move.transport))
     transport = {base: lattice.identity(n)}
     tree_edges = set()
     queue = deque([base])
     while queue:
         u = queue.popleft()
-        for move in adjacency.get(u, []):
-            v = move.target
+        for index, v, T in adjacency.get(u, []):
             if v not in transport:
-                transport[v] = lattice.mat_mul(move.transport, transport[u])
-                tree_edges.add(move.key)
+                transport[v] = lattice.mat_mul(T, transport[u])
+                tree_edges.add(index)
                 queue.append(v)
     generators = []
-    for move in graph.edges:
+    for index, move in enumerate(graph.edges):
         # a self-loop is never a tree edge; its cycle is p^-1 T p
-        if move.key in tree_edges:
+        if index in tree_edges:
             continue
         if move.source not in transport or move.target not in transport:
             continue
@@ -142,33 +134,18 @@ def holonomy_group(graph, base, cap: int = 256) -> MatrixGroup:
 
 
 @dataclass(frozen=True)
-class AmbientSolution:
+class AmbientSolution(Record):
     A: tuple          # N x N integer matrix, columns = images of the disk basis
     induced: tuple    # n x n map on H_1
     perm: tuple       # pairs (i, pi(i)) on the distinguished indices
 
-    def to_json(self):
-        return {
-            "A": [list(r) for r in self.A],
-            "induced": [list(r) for r in self.induced],
-            "perm": [list(p) for p in self.perm],
-        }
-
 
 @dataclass(frozen=True)
-class AmbientOutcome:
+class AmbientOutcome(Record):
     kind: str                 # "solutions" | "infeasible" | "inconclusive"
     solutions: tuple = ()
     certificates: tuple = ()  # one entry per distinguished bijection
     bound: int = 0
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "bound": self.bound,
-            "solutions": [s.to_json() for s in self.solutions],
-            "certificates": list(self.certificates),
-        }
 
 
 # sparse multivariate integer polynomials: {sorted var tuple: coeff}
@@ -274,10 +251,10 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
     matrix Xi.  The products Xi A_k are formed once per bijection, so each
     hit only adds up precomputed integer matrices, divides by det S (a
     remainder means the map is not integral and drops the hit) and checks
-    the columns outside J.  The bound must be an int (a float raises
-    TypeError); a negative bound raises ValueError.
+    the columns outside J.  The bound must be an int (a float or a
+    bool raises TypeError); a negative bound raises ValueError.
     """
-    bound = operator.index(bound)
+    bound = lattice.integer(bound)
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     if not poly.normals_span():
@@ -506,7 +483,7 @@ def _poly_matrix(blocks):
 
 
 @dataclass(frozen=True)
-class AmbientReport:
+class AmbientReport(Record):
     distinguished: bool
     maslov: bool
     area: bool
@@ -518,19 +495,12 @@ class AmbientReport:
         return self.distinguished and self.maslov and self.area and self.h2
 
     def to_json(self):
-        return {
-            "distinguished": self.distinguished,
-            "maslov": self.maslov,
-            "area": self.area,
-            "h2": self.h2,
-            "induced": None if self.induced is None else [list(r) for r in self.induced],
-            "all_pass": self.all_pass,
-        }
+        return {**super().to_json(), "all_pass": self.all_pass}
 
 
 def check_ambient(poly: DelzantPolytope, x, y, A) -> AmbientReport:
     """Evaluate the four ambient constraints independently for a given A."""
-    A = tuple(tuple(map(operator.index, row)) for row in A)
+    A = tuple(tuple(map(lattice.integer, row)) for row in A)
     N = poly.nfacets
     if len(A) != N or any(len(r) != N for r in A):
         raise DimensionMismatch(f"expected a {N}x{N} matrix")

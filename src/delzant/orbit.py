@@ -17,16 +17,15 @@ builds them only along the path it answers with.
 
 from __future__ import annotations
 
-import operator
 from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from operator import add, mul
 from typing import Optional
 
-from . import probe as probe_mod
+from . import lattice, probe as probe_mod
 from .errors import DimensionMismatch, NotInterior
-from .lattice import ExactScalar, Grid, _sign
-from .polytope import DelzantPolytope, as_point, in_window, point_str
+from .lattice import Grid, Record, _sign
+from .polytope import DelzantPolytope, as_point, in_window, point_str, window
 
 
 @dataclass(frozen=True)
@@ -38,50 +37,30 @@ class OrbitParams:
 
     def __post_init__(self):
         caps = (self.max_norm, self.max_points, self.max_depth)
-        if min(map(operator.index, caps)) < 1:
+        if min(map(lattice.integer, caps)) < 1:
             raise ValueError("all caps must be >= 1")
         if self.window is not None:
-            # exact bounds, as the CLI reads them: a float raises TypeError
-            window = tuple(tuple(None if b is None else ExactScalar.of(b) for b in pair)
-                           for pair in self.window)
-            for lo, hi in window:
-                if lo is not None and hi is not None and lo > hi:
-                    raise ValueError(f"empty window range {lo}..{hi}")
-            object.__setattr__(self, "window", window)
+            # exact bounds, as the CLI reads them: a float or bool raises TypeError
+            object.__setattr__(self, "window", window(self.window))
 
     def in_window(self, x) -> bool:
         return in_window(x, self.window)
 
 
 @dataclass(frozen=True)
-class ProbeMove:
+class ProbeMove(Record):
     probe: probe_mod.SymmetricProbe
     source: tuple
     target: tuple
     transport: tuple  # the involution matrix on H_1
 
-    @property
-    def key(self):
-        p = self.probe
-        return edge_key(
-            self.source, self.target, p.direction, p.entry_facet, p.exit_facet
-        )
-
     def reversed(self):
         # Partner moves are involutions, so the reverse move reuses the probe.
         return ProbeMove(self.probe, self.target, self.source, self.transport)
 
-    def to_json(self):
-        return {
-            "probe": self.probe.to_json(),
-            "source": [str(c) for c in self.source],
-            "target": [str(c) for c in self.target],
-            "transport": [list(r) for r in self.transport],
-        }
-
 
 @dataclass
-class OrbitGraph:
+class OrbitGraph(Record):
     root: tuple
     nodes: list
     edges: list
@@ -101,19 +80,6 @@ class OrbitGraph:
             cur = parent
         path.reverse()
         return path
-
-    def to_json(self):
-        return {
-            "root": [str(c) for c in self.root],
-            "nodes": [[str(c) for c in p] for p in self.nodes],
-            "edges": [e.to_json() for e in self.edges],
-            "truncated": self.truncated,
-        }
-
-
-def edge_key(source, target, direction, entry_facet, exit_facet) -> tuple:
-    """The key under which a move and its reverse count as one graph edge."""
-    return (frozenset((source, target)), direction, entry_facet, exit_facet)
 
 
 def explore(poly: DelzantPolytope, x, params: OrbitParams) -> OrbitGraph:
@@ -207,7 +173,8 @@ def _search(poly, x, params, target=None):
                 queue.append(v)
                 rec[4] = True
             if inside_u and rec[2]:
-                key = edge_key(u, v, d.v, entry, exit_)
+                # a move and its reverse are one edge
+                key = (frozenset((u, v)), d.v, entry, exit_)
                 if key not in edge_keys:
                     edge_keys.add(key)
                     edges.append(move or (u, v, hit))
@@ -317,13 +284,10 @@ class Verdict:
 
     def to_json(self):
         out = {"verdict": self.kind}
-        if self.path is not None:
-            out["path"] = [m.to_json() for m in self.path]
-        if self.reason is not None:
-            out["reason"] = self.reason
-        if self.certificate is not None:
-            cert = self.certificate
-            out["certificate"] = cert.to_json() if hasattr(cert, "to_json") else cert
+        for name in ("path", "reason", "certificate"):
+            value = getattr(self, name)
+            if value is not None:
+                out[name] = lattice.to_json(value)
         return out
 
 
@@ -368,11 +332,7 @@ def decide(poly: DelzantPolytope, x, y, params: OrbitParams) -> Verdict:
         return Verdict(
             "distinct",
             reason=f"Chekanov invariants differ in {', '.join(parts)}{note}",
-            certificate={
-                "x": inv_x.to_json(),
-                "y": inv_y.to_json(),
-                "reduction_type": reduction_type,
-            },
+            certificate={"x": inv_x, "y": inv_y, "reduction_type": reduction_type},
         )
     search_x = params.in_window(x) and _search(poly, fx, params, target=y)
     if search_x and search_x.end is not None:
@@ -396,10 +356,10 @@ def decide(poly: DelzantPolytope, x, y, params: OrbitParams) -> Verdict:
                 reason="ambient monodromy constraints are integer-infeasible",
                 certificate=outcome,
             )
-        return Verdict(
-            "unknown",
-            reason="no probe path within caps; ambient constraints are solvable",
-        )
+        state = ("are solvable" if outcome.kind == "solutions"
+                 else f"undecided within bound {outcome.bound}")
+        return Verdict("unknown",
+                       reason=f"no probe path within caps; ambient constraints {state}")
     return Verdict(
         "unknown",
         reason=(

@@ -9,7 +9,6 @@ uses 0-based indices into that order.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from . import lattice
 from .errors import (
@@ -19,12 +18,23 @@ from .errors import (
     NotInterior,
     ValidationError,
 )
-from .lattice import ExactScalar, GammaLattice, ZERO
+from .lattice import ExactScalar, GammaLattice, Record, ZERO
 
 
 def as_point(coords):
     """Coerce a sequence of ints/Fractions/ExactScalars to a point."""
     return tuple(ExactScalar.of(c) for c in coords)
+
+
+def window(pairs) -> tuple:
+    """The per-coordinate (lo, hi) ranges of a window as exact scalars, read
+    by `ExactScalar.of`, with None an open side; ValueError when lo > hi."""
+    ranges = tuple(tuple(None if b is None else ExactScalar.of(b) for b in pair)
+                   for pair in pairs)
+    for lo, hi in ranges:
+        if lo is not None and hi is not None and lo > hi:
+            raise ValueError(f"empty window range {lo}..{hi}")
+    return ranges
 
 
 def in_window(x, window) -> bool:
@@ -59,7 +69,7 @@ def _distance(x, row, offset):
 
 
 @dataclass(frozen=True)
-class Facet:
+class Facet(Record):
     normal: tuple  # primitive integer vector, inward
     offset: ExactScalar
     row: tuple = field(init=False, repr=False, compare=False)  # sparse normal
@@ -70,7 +80,7 @@ class Facet:
 
 
 @dataclass(frozen=True)
-class Vertex:
+class Vertex(Record):
     point: tuple
     active: tuple  # facet indices meeting at the vertex
     det: int
@@ -97,7 +107,7 @@ class Fibre:
 
 
 @dataclass(frozen=True)
-class ChekanovInvariants:
+class ChekanovInvariants(Record):
     """d(x), its multiplicity, the excess subgroup and the reduced vector."""
 
     d: ExactScalar
@@ -105,21 +115,13 @@ class ChekanovInvariants:
     gamma: GammaLattice
     reduced: tuple
 
-    def to_json(self):
-        return {
-            "d": str(self.d),
-            "count": self.count,
-            "gamma": self.gamma.to_json(),
-            "reduced": [str(s) for s in self.reduced],
-        }
-
 
 class DelzantPolytope:
     """Ambient dimension, ordered facets and the field D of their offsets."""
 
     def __init__(self, dim, facets):
         # ints only: int() would truncate a float normal or dimension unseen
-        self.dim = dim = operator.index(dim)
+        self.dim = dim = lattice.integer(dim)
         built = []
         keys = set()
         for f in facets:
@@ -127,7 +129,7 @@ class DelzantPolytope:
                 normal, offset = f.normal, f.offset
             else:
                 normal, offset = f
-            normal = tuple(operator.index(c) for c in normal)
+            normal = tuple(map(lattice.integer, normal))
             offset = ExactScalar.of(offset)
             if len(normal) != dim:
                 raise DimensionMismatch(
@@ -261,7 +263,7 @@ class DelzantPolytope:
         are preserved: ell(x) = ell'(Mx + t).  An M with det other than +-1
         raises NotUnimodular, and a non-integer entry TypeError.
         """
-        M = tuple(tuple(map(operator.index, row)) for row in M)
+        M = tuple(tuple(map(lattice.integer, row)) for row in M)
         Minv_t = lattice.transpose(lattice.unimodular_inverse(M))
         if t is None:
             t = (ZERO,) * self.dim
@@ -285,14 +287,8 @@ class DelzantPolytope:
     # -- serialization -----------------------------------------------------------
 
     def to_json(self):
-        return {
-            "dim": self.dim,
-            "field": {"D": self.field_disc},
-            "facets": [
-                {"normal": list(f.normal), "offset": str(f.offset)}
-                for f in self.facets
-            ],
-        }
+        return {"dim": self.dim, "field": {"D": self.field_disc},
+                "facets": lattice.to_json(self.facets)}
 
     def __repr__(self):
         return f"DelzantPolytope(dim={self.dim}, facets={self.nfacets})"

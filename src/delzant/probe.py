@@ -14,8 +14,7 @@ stays on the grid; scalars are built only for the `SymmetricProbe` returned.
 from __future__ import annotations
 
 import itertools
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul, sub
 
 from . import lattice
@@ -26,19 +25,19 @@ from .errors import (
     NotTransverse,
     UnboundedRay,
 )
-from .lattice import ExactScalar, Grid, _sign
+from .lattice import ExactScalar, Grid, Record, _sign
 from .polytope import DelzantPolytope, as_point, point_str
 
 
 @dataclass(frozen=True)
-class SymmetricProbe:
+class SymmetricProbe(Record):
     direction: tuple        # primitive v, points from entry facet to exit facet
     entry_facet: int
     exit_facet: int
     entry_point: tuple      # on the entry facet interior
     length: ExactScalar     # integral affine length T
-    entry_normal: tuple     # xi  (pairing <v, xi>  = +1)
-    exit_normal: tuple      # xi' (pairing <v, xi'> = -1)
+    entry_normal: tuple = field(repr=False)  # xi  (pairing <v, xi>  = +1)
+    exit_normal: tuple = field(repr=False)   # xi' (pairing <v, xi'> = -1)
 
     @property
     def exit_point(self):
@@ -48,15 +47,6 @@ class SymmetricProbe:
         """The point entry + t * v."""
         t = ExactScalar.of(t)
         return tuple(p + t * c for p, c in zip(self.entry_point, self.direction))
-
-    def to_json(self):
-        return {
-            "direction": list(self.direction),
-            "entry_facet": self.entry_facet,
-            "exit_facet": self.exit_facet,
-            "entry_point": [str(c) for c in self.entry_point],
-            "length": str(self.length),
-        }
 
 
 class _Direction:
@@ -171,7 +161,7 @@ class ProbeSolver:
 
 def solver(poly: DelzantPolytope, max_norm: int) -> ProbeSolver:
     """The ProbeSolver of poly up to max_norm, built once per polytope and cap."""
-    max_norm = operator.index(max_norm)
+    max_norm = lattice.integer(max_norm)
     cached = poly._solvers.get(max_norm)
     if cached is None:
         cached = poly._solvers[max_norm] = ProbeSolver(poly, max_norm)
@@ -212,7 +202,7 @@ def shoot(poly: DelzantPolytope, x, v) -> SymmetricProbe:
     +-1 with v (integral transversality).
     """
     grid, row, ell = _packed(poly, x)
-    v = tuple(map(operator.index, v))
+    v = tuple(map(lattice.integer, v))
     if not lattice.is_primitive(v):
         raise NotPrimitive(f"direction {v} is not primitive")
     d = _Direction(v, tuple(f.normal for f in poly.facets))

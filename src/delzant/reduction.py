@@ -10,9 +10,8 @@ which is exactly the condition for the reduced polytope to be Delzant.
 from __future__ import annotations
 
 import itertools
-import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import lattice
 from .errors import (
@@ -23,6 +22,7 @@ from .errors import (
     SliceInsideFacet,
     SliceMissesPolytope,
 )
+from .lattice import Record
 from .polytope import DelzantPolytope, as_point
 
 
@@ -31,7 +31,7 @@ class AffineSlice:
 
     def __init__(self, base, dirs):
         self.base = as_point(base)
-        dirs = [tuple(map(operator.index, d)) for d in dirs]
+        dirs = [tuple(map(lattice.integer, d)) for d in dirs]
         if not dirs:
             raise ValueError("a slice needs at least one direction")
         n = len(self.base)
@@ -67,33 +67,20 @@ class AffineSlice:
         return tuple(out)
 
     def to_json(self):
-        return {
-            "base": [str(c) for c in self.base],
-            "dirs": [list(d) for d in self.dirs],
-        }
+        return {"base": lattice.to_json(self.base), "dirs": lattice.to_json(self.dirs)}
 
 
 @dataclass(frozen=True)
-class FaceCertificate:
+class FaceCertificate(Record):
     active: tuple          # facet indices cutting out the face
     face_basis: tuple      # lattice basis of the face direction space
     generates: bool        # face basis + slice dirs generate Z^n
 
-    def to_json(self):
-        return {
-            "active": list(self.active),
-            "face_basis": [list(v) for v in self.face_basis],
-            "generates": self.generates,
-        }
-
 
 @dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Record):
     ok: bool
     faces: tuple
-
-    def to_json(self):
-        return {"ok": self.ok, "faces": [f.to_json() for f in self.faces]}
 
 
 def _restricted_rows(poly, sl):
@@ -155,20 +142,13 @@ def admissible(poly: DelzantPolytope, sl: AffineSlice) -> AdmissibilityReport:
 
 
 @dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Record):
     reduced: DelzantPolytope
     facet_origin: tuple      # reduced facet index -> ambient facet index
     slice: AffineSlice
 
     def lift(self, t):
         return self.slice.lift(t)
-
-    def to_json(self):
-        return {
-            "reduced": self.reduced.to_json(),
-            "facet_origin": list(self.facet_origin),
-            "slice": self.slice.to_json(),
-        }
 
 
 def reduce(poly: DelzantPolytope, sl: AffineSlice) -> ReductionResult:
@@ -215,18 +195,15 @@ def reduce(poly: DelzantPolytope, sl: AffineSlice) -> ReductionResult:
 
 
 @dataclass(frozen=True)
-class LiftResult:
+class LiftResult(Record):
     """The embedding x -> (l_1(x), ..., l_N(x)) and the reduction kernel."""
 
-    poly: DelzantPolytope
+    poly: DelzantPolytope = field(repr=False)
     kernel: tuple            # basis of {c : sum c_i xi_i = 0}
 
     def lift_point(self, x):
         """Product-torus parameters of the lifted fibre; x must be interior."""
         return self.poly.fibre(x).ell
-
-    def to_json(self):
-        return {"kernel": [list(v) for v in self.kernel]}
 
 
 def delzant_lift(poly: DelzantPolytope) -> LiftResult:

@@ -151,6 +151,18 @@ class TestPolytopeFiles:
         with pytest.raises(ValidationError):
             parse_polytope(str(path))
 
+    @pytest.mark.parametrize("data", [
+        {"dim": True, "facets": [{"normal": [True], "offset": False},
+                                 {"normal": [-1], "offset": True}]},
+        {"dim": 1, "facets": [{"normal": [1], "offset": False},
+                              {"normal": [-1], "offset": True}]},
+    ], ids=["everywhere", "offsets"])
+    def test_bool_entries_exit_2(self, capsys, tmp_path, data):
+        # once read as the integers 0 and 1: the interval [0, 1], exit 0
+        code, out, err = run(capsys, "check", _write(tmp_path, data))
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "ParseError"
+
     def test_float_offset_exits_2(self, capsys, tmp_path):
         path = tmp_path / "float.json"
         path.write_text(
@@ -202,7 +214,8 @@ class TestPolytopeFiles:
             assert error["error"] == "ParseError"
             assert f"field discriminant {disc} exceeds the bound" in error["message"]
 
-    @pytest.mark.parametrize("dim, normal", [(2.9, [1, 0]), (2, [1.5, 0])])
+    @pytest.mark.parametrize("dim, normal", [(2.9, [1, 0]), (2, [1.5, 0]), (True, [1, 0]),
+                                             (2, [True, 0])])
     def test_float_normal_or_dim_exits_2(self, capsys, tmp_path, dim, normal):
         path = tmp_path / "float.json"
         path.write_text(json.dumps({"dim": dim, "facets": [
@@ -470,6 +483,8 @@ class TestDispatch:
     @pytest.mark.parametrize("bad", [
         '{"base": [1, 1, 0], "dirs": [[0, 0, 1.9], [-1, 1, 0]]}',
         '{"base": [1, 0.5, 0], "dirs": [[0, 0, 1], [-1, 1, 0]]}',
+        '{"base": [1, 1, 0], "dirs": [[0, 0, true], [-1, 1, 0]]}',
+        '{"base": [1, true, 0], "dirs": [[0, 0, 1], [-1, 1, 0]]}',
     ])
     def test_reduce_float_slice_exits_2(self, capsys, bad):
         code, out, err = run(capsys, "reduce", "preset:c2_x_ts1", "--slice", bad)

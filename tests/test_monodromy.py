@@ -2,19 +2,25 @@
 
 import itertools
 import random
+import sys
+from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from delzant import OrbitParams, explore, preset
+from delzant import OrbitGraph, OrbitParams, as_point, explore, preset
 from delzant.errors import BaseNotInGraph, NotReductionType
 from delzant.lattice import identity, mat_det, mat_mul, mat_vec, unimodular_inverse
 from delzant.monodromy import (
+    MatrixGroup,
     check_ambient,
     holonomy_group,
     mulclose,
     solve_ambient,
 )
+from delzant.orbit import ProbeMove
+from delzant.probe import involution, shoot
 from test_polytope import sample_interior
 
 
@@ -307,3 +313,99 @@ class TestCheckAmbient:
         assert match
         report = check_ambient(poly, (1, 0), (1, 0), match[0].A)
         assert report.all_pass
+
+
+# -- the holonomy group that keyed its edges by their end points ---------------
+
+
+def reference_holonomy_group(graph, base, cap=256):
+    """holonomy_group as it identified each edge by its end points, probe
+    direction and facets, and walked it backwards as a reversed move."""
+
+    def key(move):
+        p = move.probe
+        return (frozenset((move.source, move.target)), p.direction, p.entry_facet,
+                p.exit_facet)
+
+    base = as_point(base)
+    n = len(base)
+    adjacency = {}
+    for move in graph.edges:
+        adjacency.setdefault(move.source, []).append(move)
+        adjacency.setdefault(move.target, []).append(move.reversed())
+    transport = {base: identity(n)}
+    tree = set()
+    queue = deque([base])
+    while queue:
+        u = queue.popleft()
+        for move in adjacency.get(u, []):
+            if move.target not in transport:
+                transport[move.target] = mat_mul(move.transport, transport[u])
+                tree.add(key(move))
+                queue.append(move.target)
+    generators = [
+        mat_mul(unimodular_inverse(transport[m.target]),
+                mat_mul(m.transport, transport[m.source]))
+        for m in graph.edges
+        if key(m) not in tree and m.source in transport and m.target in transport
+    ]
+    generators = [g for g in generators if g != identity(n)]
+    if not generators:
+        return MatrixGroup((), (identity(n),), False, cap)
+    return mulclose(generators, cap)
+
+
+def assert_holonomy_matches_reference(graph, cap):
+    for base in {graph.nodes[0], graph.nodes[-1]}:
+        group = holonomy_group(graph, base, cap=cap)
+        assert group == reference_holonomy_group(graph, base, cap=cap)
+
+
+@pytest.mark.parametrize("name", ["cp2", "s2s2_monotone", "c_x_s2", "ts1_x_s2",
+                                  "c2_x_ts1", "cn(2)", "cn(3)"])
+def test_holonomy_matches_the_edge_key_reference_on_presets(name):
+    poly = preset(name)
+    rng = random.Random(149)
+    points = [poly.interior_point()] + [sample_interior(poly, rng) for _ in range(3)]
+    # points on symmetry walls, where groups are not trivial
+    walls = [(0, 0), (1, 0), (1, 1), (0, Fraction(1, 2)), (1, 1, 1), (1, 2, 1)]
+    points += [p for p in walls if len(p) == poly.dim and poly.is_interior(p)]
+    for x in points:
+        params = OrbitParams(max_norm=2, max_points=40, max_depth=6,
+                             window=tuple((c - 3, c + 3) for c in x))
+        assert_holonomy_matches_reference(explore(poly, x, params), cap=64)
+
+
+def test_holonomy_matches_the_edge_key_reference_on_the_benchmark_cases():
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(perfbench)
+    for name, norm, window, cap in workloads._HOLONOMY_CASES:
+        for x in workloads._HOLONOMY_POINTS[name]:
+            graph = explore(preset(name), x,
+                            OrbitParams(max_norm=norm, window=window, max_points=60))
+            assert_holonomy_matches_reference(graph, cap)
+
+
+def test_holonomy_matches_the_edge_key_reference_on_hand_built_graphs():
+    # cn(2) at (1, 1): the probe along (1, -1) has its midpoint there, so
+    # its move is a self-loop; (1, 3) <-> (3, 1) is one move walked twice
+    poly = preset("cn(2)")
+    loop_probe = shoot(poly, (1, 1), (1, -1))
+    a, b = as_point((1, 3)), as_point((3, 1))
+    sigma = shoot(poly, a, (1, -1))
+    move = ProbeMove(sigma, a, b, involution(sigma))
+    loop = ProbeMove(loop_probe, as_point((1, 1)), as_point((1, 1)), involution(loop_probe))
+    graphs = [
+        OrbitGraph(loop.source, [loop.source], [loop], False),
+        OrbitGraph(a, [a, b], [move, move], False),
+        OrbitGraph(a, [a, b], [move, move.reversed()], False),
+        OrbitGraph(a, [a, b], [move.reversed(), move], False),
+    ]
+    for graph in graphs:
+        assert_holonomy_matches_reference(graph, cap=16)
+    assert holonomy_group(graphs[0], loop.source).generators == (involution(loop_probe),)
+    assert holonomy_group(graphs[1], a).generators == ()

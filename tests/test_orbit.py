@@ -27,7 +27,7 @@ from delzant.errors import (
     NotTransverse,
     UnboundedRay,
 )
-from delzant.orbit import ProbeMove, _graph, _search, edge_key, replay_path
+from delzant.orbit import ProbeMove, _graph, _search, replay_path
 from delzant.polytope import point_str
 from delzant.probe import (
     SymmetricProbe,
@@ -47,6 +47,16 @@ from test_polytope import fractions, sample_interior, unimodular_2x2
 def test_float_caps_rejected(caps):
     with pytest.raises(TypeError):
         OrbitParams(**caps)
+
+
+def test_inconclusive_ambient_stage_is_not_called_solvable():
+    # caps block the swap path, and the cn(5) box is too large to sweep
+    poly, x, y = preset("cn(5)"), (1, 2, 3, 4, 5), (1, 2, 3, 5, 4)
+    outcome = monodromy.solve_ambient(poly, x, y, bound=3)
+    assert (outcome.kind, outcome.solutions, outcome.certificates) == ("inconclusive", (), ())
+    verdict = decide(poly, x, y, OrbitParams(max_norm=1, max_points=1))
+    assert verdict == Verdict("unknown", reason="no probe path within caps; ambient"
+                              " constraints undecided within bound 3")
 
 
 def test_window_checked_at_construction():
@@ -444,13 +454,6 @@ class TestAgainstReference:
         assert seen == {UnboundedRay, HitsLowerFace, NotTransverse}
 
 
-def test_edge_key_is_symmetric():
-    sigma = shoot(preset("cn(2)"), (1, 3), (1, -1))
-    move = ProbeMove(sigma, as_point((1, 3)), as_point((3, 1)), involution(sigma))
-    assert move.key == move.reversed().key
-    assert move.key == edge_key(move.target, move.source, (1, -1), 0, 1)
-
-
 # -- the decide that ran two full explores before its meet scan ----------------
 
 
@@ -524,6 +527,9 @@ def reference_decide(poly, x, y, params, targeted=False):
                 reason="ambient monodromy constraints are integer-infeasible",
                 certificate=outcome,
             )
+        if outcome.kind == "inconclusive":
+            return Verdict("unknown", reason="no probe path within caps; ambient"
+                           f" constraints undecided within bound {outcome.bound}")
         return Verdict(
             "unknown",
             reason="no probe path within caps; ambient constraints are solvable",

@@ -118,6 +118,33 @@ def test_float_integer_inputs_rejected(call):
         call()
 
 
+# JSON reads true and false apart from numbers: read as 1 and 0 they once made
+# polytopes, points and windows out of data that holds no number
+@pytest.mark.parametrize("call", [
+    lambda: ExactScalar.of(True),
+    lambda: ExactScalar(1, True, 2),
+    lambda: scalar(False),
+    lambda: as_point((1, True)),
+    lambda: DelzantPolytope(1, [((1,), True), ((-1,), 2)]),
+    lambda: DelzantPolytope(True, [((1,), 0), ((-1,), 2)]),
+    lambda: DelzantPolytope(1, [((True,), 0), ((-1,), 2)]),
+    lambda: AffineSlice((1, 1, 0), [(0, 0, True), (-1, 1, 0)]),
+    lambda: preset("cp2").apply_affine(((True, 0), (0, 1))),
+    lambda: OrbitParams(max_norm=1, window=((False, True),)),
+    lambda: OrbitParams(max_norm=True),
+    lambda: probe.shoot(preset("cn(2)"), (1, 3), (True, -1)),
+    lambda: monodromy.mulclose([((False, True), (True, False))], 8),
+    lambda: monodromy.mulclose([((0, 1), (1, 0))], True),
+    lambda: monodromy.solve_ambient(preset("cp2"), (0, 0), (0, 0), bound=True),
+    lambda: monodromy.check_ambient(preset("cn(2)"), (1, 2), (1, 2), ((True, 0), (0, 1))),
+], ids=["of", "quad", "scalar", "as_point", "offset", "dim", "normal", "slice_dirs",
+        "apply_affine", "window", "caps", "shoot", "mulclose", "cap", "bound",
+        "check_ambient"])
+def test_bool_inputs_rejected(call):
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_in_window_closed_bounds_and_open_sides():
     sqrt2 = scalar(0, 1, 2)
     window = ((0, 1), (sqrt2, None))

@@ -78,6 +78,100 @@ def test_the_float_guard_sees_each_kind():
     ]
 
 
+# -- one JSON encoding ----------------------------------------------------------
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted((SRC / "delzant").glob("*.py"))}
+
+
+def _record_to_json_overrides(trees):
+    """(module, class) of each class deriving from `Record`, directly or
+    through another such class, whose `to_json` does not call
+    `super().to_json()`."""
+    classes = [(module, node) for module, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    records = {"Record"}
+    grown = True
+    while grown:
+        grown = False
+        for _, node in classes:
+            bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
+                     for b in node.bases}
+            if node.name not in records and bases & records:
+                records.add(node.name)
+                grown = True
+    bad = []
+    for module, node in classes:
+        if node.name == "Record" or node.name not in records:
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "to_json":
+                extends = any(
+                    isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "to_json" and isinstance(call.func.value, ast.Call)
+                    and getattr(call.func.value.func, "id", None) == "super"
+                    for call in ast.walk(item))
+                if not extends:
+                    bad.append((module, node.name))
+    return bad
+
+
+def _json_dumps_sites(trees):
+    """(module, qualified name of the enclosing def) of each json.dumps call
+    and each import of dumps by name."""
+    sites = []
+
+    def visit(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Attribute) and child.attr == "dumps"
+                    and getattr(child.value, "id", None) == "json"):
+                sites.append((module, scope))
+            elif (isinstance(child, ast.ImportFrom) and child.module == "json"
+                  and any(alias.name == "dumps" for alias in child.names)):
+                sites.append((module, scope))
+            visit(module, child, inner)
+
+    for module, tree in trees.items():
+        visit(module, tree, "")
+    return sites
+
+
+def test_records_write_their_fields_through_record():
+    # a Record subclass that wrote its own dict would be a second encoding
+    assert not _record_to_json_overrides(_trees())
+
+
+def test_json_is_written_only_by_cli_main():
+    sites = _json_dumps_sites(_trees())
+    assert sites and set(sites) == {("cli", "main")}
+
+
+def test_the_encoding_guards_see_each_breach():
+    trees = {"m": ast.parse(textwrap.dedent("""
+        import json
+        from json import dumps
+        class A(Record):
+            def to_json(self):
+                return {"a": json.dumps(self.a)}
+        class B(A):
+            def to_json(self):
+                return {**super().to_json(), "b": 1}
+        class C(B):
+            def to_json(self):
+                return []
+        class Plain:
+            def to_json(self):
+                return []
+    """))}
+    assert _record_to_json_overrides(trees) == [("m", "A"), ("m", "C")]
+    assert _json_dumps_sites(trees) == [("m", ""), ("m", "A.to_json")]
+
+
 _OPTIMIZED_CHECKS = textwrap.dedent("""
     import sys
 
