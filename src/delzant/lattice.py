@@ -847,6 +847,12 @@ def to_json(value):
     return method()
 
 
+@functools.cache
+def _shown_fields(cls):
+    """The names of the fields a dataclass's repr shows, found once per class."""
+    return tuple(f.name for f in dataclasses.fields(cls) if f.repr)
+
+
 class Record:
     """A dataclass whose JSON form is a dict of the fields its repr shows,
     each written by `to_json`."""
@@ -854,5 +860,4 @@ class Record:
     __slots__ = ()
 
     def to_json(self):
-        return {f.name: to_json(getattr(self, f.name))
-                for f in dataclasses.fields(self) if f.repr}
+        return {name: to_json(getattr(self, name)) for name in _shown_fields(type(self))}

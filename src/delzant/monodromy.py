@@ -196,41 +196,94 @@ def _poly_det(M):
 
 def _poly_hits(p, k, bound, targets):
     """The points t of [-bound, bound]^k with p(t) in targets, in lexicographic
-    order.  Variables 0..k-2 are fixed one at a time by specialising the
-    sparse polynomial (their entries lead each sorted monomial); the last
-    one is scanned with Horner's rule on its coefficient list."""
-    values = range(-bound, bound + 1)
+    order.
+
+    The prefixes t_0..t_{k-2} are walked lazily in lexicographic order by
+    `itertools.product`, and p is specialised along them level by level:
+    level i holds the coefficients of the monomials left once t_0..t_{i-1}
+    are fixed, and it is kept until one of those parameters moves, so a step
+    of the walk recomputes only the levels after the parameter that moved.
+    The last level is the coefficient list of t_{k-1}, whose hits
+    `_last_roots` finds exactly instead of scanning its 2 bound + 1 values."""
     if k == 0:
         return [()] if p.get((), 0) in targets else []
+    last = k - 1
+    # monomials[i]: what is left of p's monomials once t_0..t_{i-1} are fixed
+    # (their entries lead each sorted tuple); the last level lists every
+    # power of t_{k-1}, so its coefficients form a dense list
+    monomials = [list(p)]
+    for i in range(last):
+        monomials.append(list(dict.fromkeys(m[m.count(i):] for m in monomials[i])))
+    monomials[last] = [(last,) * e for e in range(max((m.count(last) for m in p), default=0) + 1)]
+    # plans[i]: for each power e of t_i on level i, the (slot on level i,
+    # slot on level i + 1) of the monomials t_i^e m
+    plans = []
+    for i in range(last):
+        slot = {m: s for s, m in enumerate(monomials[i + 1])}
+        groups = {}
+        for a, m in enumerate(monomials[i]):
+            e = m.count(i)
+            groups.setdefault(e, []).append((a, slot[m[e:]]))
+        plans.append(list(groups.items()))
+    sizes = [len(level) for level in monomials]
+    coeffs = [[p.get(m, 0) for m in monomials[0]]] + [None] * last
+    hits = []
+    for prefix in itertools.product(range(-bound, bound + 1), repeat=last):
+        # the walk moved t_i and reset every later parameter to -bound
+        i = max(last - 1, 0)
+        while i > 0 and prefix[i] == -bound:
+            i -= 1
+        for i in range(i, last):
+            v, level = prefix[i], coeffs[i]
+            out = [0] * sizes[i + 1]
+            for e, pairs in plans[i]:
+                w = v ** e
+                for a, s in pairs:
+                    out[s] += level[a] * w
+            coeffs[i + 1] = out
+        for x in _last_roots(coeffs[last], bound, targets):
+            hits.append(prefix + (x,))
+    return hits
 
-    size = max(map(len, p), default=0) + 1
 
-    def sweep(p, var):
-        # p as a polynomial in var: (power, monomial in later variables, coeff)
-        terms = []
-        for mono, c in p.items():
-            m = mono.count(var)
-            terms.append((m, mono[m:], c))
-        hits = []
-        if var == k - 1:
-            coeffs = [0] * size
-            for m, _, c in terms:
-                coeffs[size - 1 - m] += c
-            for v in values:
-                total = 0
-                for c in coeffs:
-                    total = total * v + c
-                if total in targets:
-                    hits.append((v,))
-            return hits
-        for v in values:
-            q = {}
-            for m, rest, c in terms:
-                q[rest] = q.get(rest, 0) + c * v ** m
-            hits.extend((v,) + t for t in sweep(q, var + 1))
-        return hits
+def _last_roots(coeffs, bound, targets):
+    """The x in [-bound, bound], ascending, with sum coeffs[e] x^e in targets.
 
-    return sweep(p, 0)
+    The degree is that of the highest nonzero coefficient: at degree 0 every
+    x or none hits, at degree 1 each target gives one divmod, at degree 2 its
+    discriminant and `math.isqrt`; above that Horner's rule runs on each x."""
+    degree = len(coeffs) - 1
+    while degree and not coeffs[degree]:
+        degree -= 1
+    if degree == 0:
+        return range(-bound, bound + 1) if coeffs[0] in targets else ()
+    roots = []
+    if degree == 1:
+        c, b = coeffs[0], coeffs[1]
+        for target in targets:
+            x, r = divmod(target - c, b)
+            if not r and -bound <= x <= bound:
+                roots.append(x)
+    elif degree == 2:
+        c, b, a = coeffs[0], coeffs[1], coeffs[2]
+        for target in targets:
+            disc = b * b - 4 * a * (c - target)
+            if disc >= 0:
+                r = math.isqrt(disc)
+                if r * r == disc:
+                    for num in (-b - r, -b + r):
+                        x, rem = divmod(num, 2 * a)
+                        if not rem and -bound <= x <= bound:
+                            roots.append(x)
+    else:
+        for x in range(-bound, bound + 1):
+            total = 0
+            for c in reversed(coeffs):
+                total = total * x + c
+            if total in targets:
+                roots.append(x)
+        return roots
+    return sorted(set(roots)) if len(roots) > 1 else roots
 
 
 def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
@@ -246,13 +299,17 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
     A_k of z0 + sum t_k kernel_k; the sweep covers the box [-bound, bound]^k
     of kernel parameters t and keeps the points where det(induced) = +-1.
     A box of more than 200 000 points is not swept: only its centre t = 0
-    is tested.  The induced map on H_1 is (Xi A)[:, J] adj(S) divided
-    exactly by det S for an invertible block S = Xi[:, J] of the normal
-    matrix Xi.  The products Xi A_k are formed once per bijection, so each
-    hit only adds up precomputed integer matrices, divides by det S (a
-    remainder means the map is not integral and drops the hit) and checks
-    the columns outside J.  The bound must be an int (a float or a
-    bool raises TypeError); a negative bound raises ValueError.
+    is tested.  `_poly_hits` walks the first k - 1 parameters and solves
+    for the last one exactly, as a root of the determinant polynomial in it.
+    The induced map on H_1 is (Xi A)[:, J] adj(S) divided exactly by det S
+    for an invertible block S = Xi[:, J] of the normal matrix Xi.  The
+    products Xi A_k are formed once per bijection.  The hits come in
+    lexicographic order, so each one keeps the partial sum of the prefix it
+    shares with the hit before and adds the precomputed matrices of the
+    later parameters only; it then divides by det S (a remainder means the
+    map is not integral and drops the hit; at det S = +-1 there is none)
+    and checks the columns outside J.  The bound must be an int (a float or
+    a bool raises TypeError); a negative bound raises ValueError.
     """
     bound = lattice.integer(bound)
     if bound < 0:
@@ -268,7 +325,7 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
             certificates=(
                 {
                     "kind": "invariants",
-                    "d": [str(fx.d), str(fy.d)],
+                    "d": [fx.d, fy.d],
                     "count": [len(fx.active), len(fy.active)],
                 },
             ),
@@ -306,8 +363,8 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
         found = []
         # a box too large to sweep still reports its centre point
         box_bound = bound if (2 * bound + 1) ** len(kernel) <= 200_000 else 0
-        for t in _poly_hits(detpoly, len(kernel), box_bound, (det_S, -det_S)):
-            A, induced = family.at(t)
+        hits = _poly_hits(detpoly, len(kernel), box_bound, (det_S, -det_S))
+        for A, induced in family.at_each(hits):
             if induced is not None:
                 found.append(AmbientSolution(A, induced, perm))
         if found:
@@ -426,7 +483,7 @@ class _AffineFamily:
     @functools.cached_property
     def vectors(self):
         """A_k, P_k and R_k flat, row by row, in one vector per k, so that a
-        point t costs one vector sum per nonzero t_k.  Formed at the first
+        point t is one vector sum per nonzero t_k.  Formed at the first
         point, so a family the sweep never hits makes no product with adj S."""
         return [
             _flat(A) + _flat(lattice.mat_mul(B, self.adj)) + _flat(_columns(M, self.rest))
@@ -436,28 +493,57 @@ class _AffineFamily:
     def at(self, t):
         """(A(t), its induced n x n map), the map None when it is not
         integral (a division leaves a remainder) or A(t) does not preserve
-        the kernel of Xi.  An exact quotient M has M Xi = Xi A on the
-        columns J, so only the other columns are checked."""
-        v = self.vectors[0]
-        for c, w in zip(t, self.vectors[1:]):
-            if c:
-                v = [a + c * b for a, b in zip(v, w)]
+        the kernel of Xi."""
+        return next(self.at_each([t]))
+
+    def at_each(self, ts):
+        """`at` of each point of the list ts, in order, by partial sums kept
+        per prefix: sums[i] is A_0 + sum_{j<i} t_j A_{j+1} (and so for P and
+        R), so a point that shares its first i parameters with the one before
+        adds one vector for each nonzero parameter after those.  An empty
+        list forms no vectors."""
+        if not ts:
+            return
+        vectors = self.vectors
+        sums = [vectors[0]]
+        last = ()
+        for t in ts:
+            i = 0
+            for a, b in zip(t, last):
+                if a != b:
+                    break
+                i += 1
+            del sums[i + 1:]
+            for c, w in zip(t[i:], vectors[i + 1:]):
+                v = sums[-1]
+                sums.append([a + c * b for a, b in zip(v, w)] if c else v)
+            last = t
+            yield self._split(sums[-1])
+
+    def _split(self, v):
+        """A and the induced map from the flat vector v of a point.  When
+        det S is +-1 the exact division is the identity or a negation; else
+        a remainder drops the map.  An exact quotient M has M Xi = Xi A on
+        the columns J, so only the other columns are checked."""
         N, n, m = self.shape
         A = _rows(v, 0, N, N)
         det = self.det
-        out = []
-        for row in _rows(v, N * N, n, n):
-            ints = []
-            for e in row:
+        P = v[N * N:N * N + n * n]
+        if det == -1:
+            P = [-e for e in P]
+        elif det != 1:
+            quotients = []
+            for e in P:
                 q, rem = divmod(e, det)
                 if rem:
                     return A, None
-                ints.append(q)
-            out.append(tuple(ints))
+                quotients.append(q)
+            P = quotients
+        out = _rows(P, 0, n, n)
         # with every column in J (cn(n)) there is nothing left to check
         if m and lattice.mat_mul(out, self.xi_rest) != _rows(v, N * N + n * n, n, m):
             return A, None
-        return A, tuple(out)
+        return A, out
 
 
 def _flat(M):
@@ -465,10 +551,9 @@ def _flat(M):
 
 
 def _rows(v, start, nrows, ncols):
-    """The nrows x ncols matrix stored flat in v from index start."""
-    return tuple(
-        tuple(v[start + r * ncols:start + r * ncols + ncols]) for r in range(nrows)
-    )
+    """The nrows x ncols matrix stored flat in v from index start (ncols > 0)."""
+    entries = iter(v[start:start + nrows * ncols])
+    return tuple(zip(*[entries] * ncols))
 
 
 def _poly_matrix(blocks):

@@ -154,6 +154,10 @@ class ReferenceFamily:
         det, J, adj = self.frame
         return A, fraction_induced_matrix(self.xi, A, J, adj, det)
 
+    def at_each(self, ts):
+        """`at` point by point, for the prefix-shared batch of the family."""
+        return [self.at(t) for t in ts]
+
 
 def poly_eval(p, t):
     total = 0
@@ -244,6 +248,8 @@ HEXAGON = DelzantPolytope(
 )
 # the Hirzebruch trapezoid -1 <= x <= 2y + 3, |y| <= 1; first frame det 2
 TRAPEZOID = DelzantPolytope(2, [((1, 0), 1), ((-1, 2), 3), ((0, 1), 1), ((0, -1), 1)])
+# cp2 with its first two facets swapped; first frame det -1
+CP2_SWAPPED = DelzantPolytope(2, [((0, 1), 1), ((1, 0), 1), ((-1, -1), 1)])
 F = Fraction
 
 
@@ -298,6 +304,9 @@ def _cases():
         (preset("s2s2_monotone"), (r2, 0), (0, -r2)),
         (HEXAGON, (r2, 0), (0, r2)),
     ]
+    for x, y in (((F(-1, 2), F(-1, 5)), (F(-1, 5), F(-1, 2))),
+                 ((F(1, 3), F(-1, 4)), (F(1, 3), F(-1, 4)))):
+        cases.append((CP2_SWAPPED, x, y))
     return cases
 
 
@@ -310,6 +319,17 @@ def test_hexagon_frame_has_det_minus_2():
     det, J, adj = monodromy._induced_frame(xi, 2, HEXAGON.nfacets)
     assert det == -2 and J == (0, 1)
     assert adj == cofactor_adjugate([list(r) for r in ((-1, -1), (-1, 1))])
+
+
+def _frame(poly):
+    xi = lattice.transpose(tuple(f.normal for f in poly.facets))
+    return monodromy._induced_frame(xi, poly.dim, poly.nfacets)
+
+
+def test_case_frames_cover_det_1_minus_1_2_and_minus_2():
+    assert {_frame(poly)[0] for poly, _, _ in CASES} == {1, -1, 2, -2}
+    assert _frame(CP2_SWAPPED)[:2] == (-1, (0, 1))
+    assert _frame(TRAPEZOID)[:2] == (2, (0, 1))
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
@@ -359,7 +379,7 @@ def test_solve_ambient_matches_reference(case, monkeypatch):
     assert fast.to_json() == reference(monkeypatch, solve_ambient, poly, x, y, 3, hits=hits).to_json()
     # every solution came out of the reference family
     assert len(hits) >= len(fast.solutions)
-    if poly is TRAPEZOID or poly.dim == 4:  # cn(4)
+    if poly is TRAPEZOID or poly is CP2_SWAPPED or poly.dim == 4:  # cn(4)
         assert hits and fast.solutions
 
 
@@ -423,6 +443,66 @@ def test_no_kernel_check_without_columns_outside_the_frame(monkeypatch):
     assert got.to_json() == want.to_json()
     assert len(got.solutions) == 3514
     assert len(calls) < len(got.solutions)
+
+
+def _families(poly, x, y):
+    """Every `_AffineFamily` that solve_ambient(poly, x, y, 0) builds."""
+    families = []
+
+    class Recorded(monodromy._AffineFamily):
+        def __init__(self, *args):
+            super().__init__(*args)
+            families.append(self)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(monodromy, "_AffineFamily", Recorded)
+        solve_ambient(poly, x, y, 0)
+    return families
+
+
+def _random_families(poly, rng, count=3, k=3):
+    """Families of small random integer matrices (all columns free): most of
+    their points fail the division or the check outside J."""
+    xi = lattice.transpose(tuple(f.normal for f in poly.facets))
+    N = poly.nfacets
+    for _ in range(count):
+        z0, *kernel = ([rng.randint(-2, 2) for _ in range(N * N)] for _ in range(k + 1))
+        yield monodromy._AffineFamily(xi, _frame(poly), z0, kernel, range(N), {})
+
+
+def test_prefix_shared_evaluation_matches_at():
+    """`at_each` over the box [-1, 1]^k in lexicographic order, and over a
+    shuffled list with repeats, gives `at` at every point: on the families
+    solve_ambient builds and on random ones, whose maps fail the division
+    or the check outside J."""
+    rng = random.Random(3)
+    dets, fails = set(), {"division": 0, "outside J": 0}
+    for poly, x, y in CASES:
+        families = _families(poly, x, y) + list(_random_families(poly, rng, count=1))
+        for family in families:
+            k = len(family.As) - 1
+            box = [t + (0,) * (k - 4) for t in itertools.product((-1, 0, 1), repeat=min(k, 4))]
+            shuffled = rng.sample(box, len(box)) + box[:3]
+            for ts in (box, shuffled):
+                assert list(family.at_each(ts)) == [family.at(t) for t in ts]
+            dets.add(family.det)
+            xi = lattice.transpose(tuple(f.normal for f in poly.facets))
+            J = _frame(poly)[1]
+            for t in box:
+                A, induced = family.at(t)
+                if induced is None:
+                    XA = lattice.mat_mul(xi, A)
+                    P = lattice.mat_mul(monodromy._columns(XA, J), family.adj)
+                    exact = all(e % family.det == 0 for row in P for e in row)
+                    fails["outside J" if exact else "division"] += 1
+    assert dets == {1, -1, 2, -2}
+    assert all(fails.values())
+
+
+def test_prefix_shared_evaluation_of_no_points_forms_no_vectors():
+    family = _families(*CASES[0])[0]
+    assert list(family.at_each([])) == []
+    assert "vectors" not in vars(family)
 
 
 def _probe_matrices(poly, x, y, rng):
@@ -552,25 +632,69 @@ def test_unimodular_inverse(M):
             lattice.unimodular_inverse(M)
 
 
+def _rooted(lead, roots, shift, k):
+    """lead * prod (t_{k-1} - r) + shift, lead a polynomial in t_0..t_{k-2}."""
+    p = dict(lead)
+    for r in roots:
+        p = monodromy._poly_mul(p, {(k - 1,): 1, (): -r})
+    return monodromy._poly_add(p, {(): shift})
+
+
 @st.composite
 def sparse_polys(draw):
+    """Random sparse polynomials, or ones built to have degree 0 to 3 in the
+    last parameter with integer roots at, just inside or just outside
+    +-bound, times a leading coefficient that vanishes at some prefixes
+    (where every value of the last parameter hits).  A random polynomial
+    comes with a drawn point that hits its own value, a built one with None."""
     k = draw(st.integers(0, 4))
+    bound = draw(st.integers(0, 3))
+    if k and draw(st.booleans()):
+        near = st.sampled_from((-bound - 1, -bound, 1 - bound, bound - 1, bound, bound + 1))
+        roots = draw(st.lists(near, max_size=3))
+        lead = {(): draw(st.integers(-3, 3).filter(bool))}
+        if k > 1 and draw(st.booleans()):
+            lead[(draw(st.integers(0, k - 2)),)] = draw(st.integers(-2, 2).filter(bool))
+        shift = draw(st.integers(-3, 3))
+        p = _rooted(lead, roots, shift, k)
+        return p, k, bound, (shift, draw(st.integers(-3, 3))), None
     monos = st.lists(st.integers(0, k - 1), max_size=4).map(lambda m: tuple(sorted(m))) \
         if k else st.just(())
     p = {}
     for mono, c in draw(st.lists(st.tuples(monos, st.integers(-4, 4)), max_size=8)):
         if c:
             p[mono] = c
-    bound = draw(st.integers(0, 3))
     t = draw(st.lists(st.integers(-bound, bound), min_size=k, max_size=k))
     targets = (poly_eval(p, t), draw(st.integers(-3, 3)))
-    return p, k, bound, targets
+    return p, k, bound, targets, tuple(t)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(sparse_polys())
 def test_poly_hits_matches_brute_force(case):
-    p, k, bound, targets = case
+    p, k, bound, targets, point = case
     hits = monodromy._poly_hits(p, k, bound, targets)
     assert hits == product_hits(p, k, bound, targets)
-    assert hits  # the drawn point hits its own value
+    assert point is None or point in hits
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("bound", [1, 2])
+def test_poly_hits_finds_exact_roots_at_the_box_edge(degree, bound):
+    """Roots at +-bound are hits and roots at +-(bound + 1) are not; where
+    the leading coefficient 1 + t_0 vanishes (t_0 = -1) every value hits."""
+    k = 3
+    for roots in itertools.combinations_with_replacement(
+        (-bound - 1, -bound, bound, bound + 1), degree
+    ):
+        p = _rooted({(): 1, (0,): 1}, roots, 2, k)
+        hits = monodromy._poly_hits(p, k, bound, (2, 10**6))
+        assert hits == product_hits(p, k, bound, (2, 10**6))
+        inside = sorted({r for r in roots if abs(r) <= bound})
+        values = range(-bound, bound + 1)
+        for prefix in itertools.product(values, repeat=k - 1):
+            got = [t[-1] for t in hits if t[:-1] == prefix]
+            if prefix[0] == -1:
+                assert got == list(values)
+            else:
+                assert got == inside

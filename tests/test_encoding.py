@@ -74,10 +74,17 @@ def ref_solution(s):
     return {"A": _mat(s.A), "induced": _mat(s.induced), "perm": [list(p) for p in s.perm]}
 
 
+def ref_certificate(c):
+    # the distances of an invariants certificate, once stored as their text
+    if c["kind"] == "invariants":
+        return {**c, "d": [str(v) for v in c["d"]]}
+    return c
+
+
 def ref_outcome(o):
     return {"kind": o.kind, "bound": o.bound,
             "solutions": [ref_solution(s) for s in o.solutions],
-            "certificates": list(o.certificates)}
+            "certificates": [ref_certificate(c) for c in o.certificates]}
 
 
 def ref_report(r):

@@ -11,7 +11,9 @@ import pytest
 
 from delzant import OrbitGraph, OrbitParams, as_point, explore, preset
 from delzant.errors import BaseNotInGraph, NotReductionType
-from delzant.lattice import identity, mat_det, mat_mul, mat_vec, unimodular_inverse
+from delzant.lattice import (
+    ExactScalar, identity, mat_det, mat_mul, mat_vec, unimodular_inverse,
+)
 from delzant.monodromy import (
     MatrixGroup,
     check_ambient,
@@ -276,6 +278,17 @@ class TestSolveAmbient:
                 solve_ambient(poly, x, y, bound=2.5)
             with pytest.raises(TypeError):
                 solve_ambient(poly, x, y, bound=2.0)
+
+    def test_invariants_certificate_holds_scalars(self):
+        """The distances d of an invariants certificate are the scalars
+        themselves; `to_json` writes them as their grammar text."""
+        x, y = (Fraction(-1, 2), Fraction(-1, 5)), (0, 0)
+        out = solve_ambient(preset("cp2"), x, y, bound=2)
+        (cert,) = out.certificates
+        assert cert["kind"] == "invariants"
+        assert [type(v) for v in cert["d"]] == [ExactScalar, ExactScalar]
+        assert cert["d"] == [Fraction(1, 2), 1]
+        assert out.to_json()["certificates"][0]["d"] == ["1/2", "1"]
 
     def test_not_reduction_type(self):
         with pytest.raises(NotReductionType):
