@@ -8,6 +8,12 @@ answers, whose JSON goes to stdout; 2, on stderr, for all others).
 Scalars on the command line and in files are read by `ExactScalar.of`,
 in the grammar ``INT | INT/INT | RAT+RAT√D | RAT-RAT√D`` of `lattice`;
 windows are comma-separated ``lo..hi`` ranges with ``*`` for unbounded.
+Each value's reader (a `parse_*` function or `int`) is its argparse
+``type`` in `build_parser`, so every value is read once, as argv is parsed,
+and the handlers take parsed values.  A reader raises `ParseError` or a
+library `DelzantError`, never a bare `TypeError` or `ValueError` (argparse
+would print those as usage), and `main` reports it as it does a handler's
+error: of several malformed values, the first in argv order.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ def parse_polytope(source: str) -> DelzantPolytope:
             data = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise ParseError(f"{source} is not valid JSON: {exc}")
     return polytope_from_data(data, source)
 
@@ -84,13 +90,27 @@ def polytope_from_data(data, source="<data>") -> DelzantPolytope:
         raise ParseError(f"{source}: malformed polytope data ({exc})")
 
 
+def parse_direction(text: str):
+    v = parse_point(text)
+    if any(c.b or c.c != 1 for c in v):
+        raise ParseError(f"bad direction {text!r}, expected integers a,b,...")
+    return tuple(c.a for c in v)
+
+
+def parse_slice(text: str) -> AffineSlice:
+    try:
+        data = json.loads(text)
+        return AffineSlice(data["base"], data["dirs"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"bad slice {text!r}: {exc}")
+
+
 def _orbit_params(args):
-    window = parse_window(args.window) if args.window else None
     return orbit.OrbitParams(
         max_norm=args.max_norm,
         max_points=args.max_points,
         max_depth=args.max_depth,
-        window=window,
+        window=args.window,
     )
 
 
@@ -101,9 +121,8 @@ def _orbit_params(args):
 
 
 def _cmd_check(args):
-    poly = parse_polytope(args.polytope)
     try:
-        vertices = poly.check_delzant()
+        vertices = args.polytope.check_delzant()
     except NotDelzant as exc:
         return 1, {"delzant": False, "vertex": exc.vertex, "det": exc.det,
                    "reason": str(exc)}
@@ -111,8 +130,8 @@ def _cmd_check(args):
 
 
 def _cmd_invariants(args):
-    poly = parse_polytope(args.polytope)
-    f = poly.fibre(parse_point(args.point))
+    poly = args.polytope
+    f = poly.fibre(args.point)
     return 0, {
         "invariants": poly.invariants(f),
         "ell": f.ell,
@@ -122,78 +141,56 @@ def _cmd_invariants(args):
 
 
 def _cmd_probes(args):
-    poly = parse_polytope(args.polytope)
-    x = parse_point(args.point)
-    probes = probe.enumerate_probes(poly, x, args.max_norm)
+    probes = probe.enumerate_probes(args.polytope, args.point, args.max_norm)
     return 0, {"count": len(probes), "probes": probes}
 
 
 def _cmd_partner(args):
-    poly = parse_polytope(args.polytope)
-    x = parse_point(args.point)
-    v = parse_point(args.dir)
-    if any(c.b or c.c != 1 for c in v):
-        raise ParseError(f"bad direction {args.dir!r}, expected integers a,b,...")
-    sigma = probe.shoot(poly, x, tuple(c.a for c in v))
+    x = args.point
+    sigma = probe.shoot(args.polytope, x, args.dir)
     return 0, {"probe": sigma, "partner": probe.partner(sigma, x),
                "involution": probe.involution(sigma)}
 
 
 def _cmd_orbit(args):
-    poly = parse_polytope(args.polytope)
-    x = parse_point(args.point)
-    return 0, orbit.explore(poly, x, _orbit_params(args))
+    return 0, orbit.explore(args.polytope, args.point, _orbit_params(args))
 
 
 def _cmd_monodromy(args):
-    poly = parse_polytope(args.polytope)
-    x = parse_point(args.point)
-    graph = orbit.explore(poly, x, _orbit_params(args))
-    group = monodromy.holonomy_group(graph, x, cap=args.cap)
+    graph = orbit.explore(args.polytope, args.point, _orbit_params(args))
+    group = monodromy.holonomy_group(graph, args.point, cap=args.cap)
     return 0, {"orbit_size": len(graph.nodes), "group": group}
 
 
 def _cmd_ambient(args):
-    poly = parse_polytope(args.polytope)
-    x = parse_point(args.source)
-    y = parse_point(args.target)
-    outcome = monodromy.solve_ambient(poly, x, y, bound=args.bound)
+    outcome = monodromy.solve_ambient(args.polytope, args.source, args.target,
+                                      bound=args.bound)
     return _KIND_CODES[outcome.kind], outcome
 
 
 def _cmd_equivalent(args):
-    poly = parse_polytope(args.polytope)
-    x = parse_point(args.source)
-    y = parse_point(args.target)
-    verdict = orbit.decide(poly, x, y, _orbit_params(args))
+    verdict = orbit.decide(args.polytope, args.source, args.target,
+                           _orbit_params(args))
     return _KIND_CODES[verdict.kind], verdict
 
 
 def _cmd_reduce(args):
-    poly = parse_polytope(args.polytope)
-    try:
-        data = json.loads(args.slice)
-        sl = AffineSlice(data["base"], data["dirs"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ParseError(f"bad slice {args.slice!r}: {exc}")
-    return 0, reduction.reduce(poly, sl)
+    return 0, reduction.reduce(args.polytope, args.slice)
 
 
 def _cmd_lift(args):
-    poly = parse_polytope(args.polytope)
-    lift = reduction.delzant_lift(poly)
+    lift = reduction.delzant_lift(args.polytope)
     payload = lattice.to_json(lift)
     if args.point:
-        payload["lifted_point"] = lift.lift_point(parse_point(args.point))
+        payload["lifted_point"] = lift.lift_point(args.point)
     return 0, payload
 
 
 def _cmd_chekanov(args):
-    a = parse_point(args.tuple)
+    a, b = args.tuple, args.to
     payload = {"reduced": chekanov.reduce(a), "gamma": chekanov.gamma(a)}
-    if not args.to:
+    if not b:
         return 0, payload
-    b = parse_point(args.to)
     eq = chekanov.equivalent(a, b)
     payload["equivalent"] = eq
     if not eq:
@@ -210,18 +207,15 @@ def _cmd_chekanov(args):
 
 
 def _cmd_render(args):
-    poly = parse_polytope(args.polytope)
-    window = parse_window(args.window)
+    poly, window = args.polytope, args.window
     if len(window) != 2 or any(lo is None or hi is None for lo, hi in window):
         raise ParseError("render needs a bounded 2-coordinate window")
     layers = {"probes": [], "orbits": [], "labels": args.labels}
     if args.probes_at:
-        x = parse_point(args.probes_at)
-        layers["probes"] = probe.enumerate_probes(poly, x, args.max_norm)
+        layers["probes"] = probe.enumerate_probes(poly, args.probes_at, args.max_norm)
     if args.orbit_of:
         params = _orbit_params(args)
-        for text in args.orbit_of:
-            x = parse_point(text)
+        for x in args.orbit_of:
             layers["orbits"].append(orbit.explore(poly, x, params).nodes)
     return 0, render_svg(poly, window, layers)
 
@@ -351,77 +345,70 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
+    def add(name, handler, polytope=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=handler)
+        if polytope:
+            p.add_argument("polytope", type=parse_polytope)
         return p
 
-    p = add("check", _cmd_check, help="verify the Delzant vertex condition")
-    p.add_argument("polytope")
+    add("check", _cmd_check, help="verify the Delzant vertex condition")
 
     p = add("invariants", _cmd_invariants, help="Chekanov invariants of a fibre")
-    p.add_argument("polytope")
-    p.add_argument("--point", required=True)
+    p.add_argument("--point", type=parse_point, required=True)
 
     p = add("probes", _cmd_probes, help="enumerate symmetric probes through a point")
-    p.add_argument("polytope")
-    p.add_argument("--point", required=True)
+    p.add_argument("--point", type=parse_point, required=True)
     p.add_argument("--max-norm", type=int, required=True)
 
     p = add("partner", _cmd_partner, help="partner point along one probe")
-    p.add_argument("polytope")
-    p.add_argument("--point", required=True)
-    p.add_argument("--dir", required=True)
+    p.add_argument("--point", type=parse_point, required=True)
+    p.add_argument("--dir", type=parse_direction, required=True)
 
     for name, handler in (("orbit", _cmd_orbit), ("monodromy", _cmd_monodromy)):
         p = add(name, handler, help=f"{name} of a fibre under probe moves")
-        p.add_argument("polytope")
-        p.add_argument("--point", required=True)
+        p.add_argument("--point", type=parse_point, required=True)
         p.add_argument("--max-norm", type=int, required=True)
-        p.add_argument("--window")
+        p.add_argument("--window", type=parse_window)
         p.add_argument("--max-points", type=int, default=500)
         p.add_argument("--max-depth", type=int, default=32)
         if name == "monodromy":
             p.add_argument("--cap", type=int, default=64)
 
     p = add("ambient", _cmd_ambient, help="solve the ambient monodromy constraints")
-    p.add_argument("polytope")
-    p.add_argument("--from", dest="source", required=True)
-    p.add_argument("--to", dest="target", required=True)
+    p.add_argument("--from", dest="source", type=parse_point, required=True)
+    p.add_argument("--to", dest="target", type=parse_point, required=True)
     p.add_argument("--bound", type=int, default=3)
 
     p = add("equivalent", _cmd_equivalent, help="decide fibre equivalence")
-    p.add_argument("polytope")
-    p.add_argument("--from", dest="source", required=True)
-    p.add_argument("--to", dest="target", required=True)
+    p.add_argument("--from", dest="source", type=parse_point, required=True)
+    p.add_argument("--to", dest="target", type=parse_point, required=True)
     p.add_argument("--max-norm", type=int, default=3)
-    p.add_argument("--window")
+    p.add_argument("--window", type=parse_window)
     p.add_argument("--max-points", type=int, default=500)
     p.add_argument("--max-depth", type=int, default=16)
 
     p = add("reduce", _cmd_reduce, help="toric reduction along a slice")
-    p.add_argument("polytope")
-    p.add_argument("--slice", required=True, help='JSON {"base": [...], "dirs": [[...]]}')
+    p.add_argument("--slice", type=parse_slice, required=True,
+                   help='JSON {"base": [...], "dirs": [[...]]}')
 
     p = add("lift", _cmd_lift, help="present the polytope as an orthant reduction")
-    p.add_argument("polytope")
-    p.add_argument("--point")
+    p.add_argument("--point", type=parse_point)
 
-    p = add("chekanov", _cmd_chekanov, help="product-torus classification")
-    p.add_argument("--tuple", required=True)
-    p.add_argument("--to")
+    p = add("chekanov", _cmd_chekanov, polytope=False, help="product-torus classification")
+    p.add_argument("--tuple", type=parse_point, required=True)
+    p.add_argument("--to", type=parse_point)
 
     p = add("render", _cmd_render, help="SVG of a planar polytope")
-    p.add_argument("polytope")
-    p.add_argument("--window", required=True)
-    p.add_argument("--probes-at")
-    p.add_argument("--orbit-of", action="append")
+    p.add_argument("--window", type=parse_window, required=True)
+    p.add_argument("--probes-at", type=parse_point)
+    p.add_argument("--orbit-of", type=parse_point, action="append")
     p.add_argument("--max-norm", type=int, default=2)
     p.add_argument("--max-points", type=int, default=200)
     p.add_argument("--max-depth", type=int, default=16)
     p.add_argument("--labels", action="store_true")
 
-    add("preset-list", _cmd_preset_list, help="list the preset polytopes")
+    add("preset-list", _cmd_preset_list, polytope=False, help="list the preset polytopes")
     return parser
 
 
@@ -447,10 +434,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_normalize_argv(list(argv)))
+        code, payload = args.handler(args)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    try:
-        code, payload = args.handler(args)
     except Exception as exc:  # never a traceback on user input
         code = exc.exit_code if isinstance(exc, DelzantError) else 2
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},

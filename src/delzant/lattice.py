@@ -622,7 +622,7 @@ class IntegerInfeasible:
         ).denominator != 1
 
     def to_json(self):
-        return {"witness": [str(Fraction(x)) for x in self.u]}
+        return [str(Fraction(x)) for x in self.u]
 
 
 def solve_integer(M, b):

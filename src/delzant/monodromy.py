@@ -23,7 +23,7 @@ from typing import Optional
 from . import lattice
 from .errors import BaseNotInGraph, DimensionMismatch, NotReductionType, SelfCheckFailed
 from .lattice import ExactScalar, Record
-from .polytope import DelzantPolytope, as_point
+from .polytope import DelzantPolytope, as_point, point_str
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def holonomy_group(graph, base, cap: int = 256) -> MatrixGroup:
     base = as_point(base)
     node_set = set(graph.nodes)
     if base not in node_set:
-        raise BaseNotInGraph(f"base point is not a stored node of the graph")
+        raise BaseNotInGraph(f"base point {point_str(base)} is not a stored node of the graph")
     n = len(base)
     adjacency = {}
     for index, move in enumerate(graph.edges):
@@ -345,7 +345,7 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
         rows, rhs = _ambient_system(fx.ell, fy.ell, h2, free, fixed_cols, N)
         z0, kernel, cert = lattice.solve_integer(rows, rhs)
         if cert is not None:
-            certificates.append({"kind": "linear", "perm": perm, **cert.to_json()})
+            certificates.append({"kind": "linear", "perm": perm, "witness": cert})
             continue
         if fx.point == fy.point and all(i == j for i, j in perm):
             # recenter on the identity so t = 0 always recovers it

@@ -296,17 +296,17 @@ def decide(poly: DelzantPolytope, x, y, params: OrbitParams) -> Verdict:
 
     Unequal invariants give Distinct (flagged as heuristic when the
     normals do not span, since the invariants are only proven obstructions
-    for polytopes that lift to an orthant).  A connecting probe path gives Equivalent.  Otherwise the
-    ambient integer solver may certify Distinct; absence of a path within
-    the caps is never conclusive, hence Unknown.
+    for polytopes that lift to an orthant).  A connecting probe path gives
+    Equivalent.  Otherwise the ambient integer solver may certify Distinct;
+    absence of a path within the caps is never conclusive, hence Unknown.
 
     Each path search is `_search`, the packed search of `explore`, given a
     `target`, so it stops at the point it looks for; one that never finds
     it is the full search, so verdicts and paths are those of two full
-    searches and the meet scan.  No graph is built: scalars, probes and moves are made only
-    for the path returned.  A search starts only from an endpoint inside
-    the window, and the meet scan runs only when both searches ran; a cap
-    never turns an answer into an error.
+    searches and the meet scan.  No graph is built: scalars, probes and
+    moves are made only for the path returned.  A search starts only from
+    an endpoint inside the window, and the meet scan runs only when both
+    searches ran; a cap never turns an answer into an error.
     """
     _check_window(poly, params)
     fx, fy = poly.fibre(x), poly.fibre(y)

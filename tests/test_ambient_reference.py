@@ -383,6 +383,26 @@ def test_solve_ambient_matches_reference(case, monkeypatch):
         assert hits and fast.solutions
 
 
+def test_linear_certificates_hold_their_checkable_witness():
+    """Each linear certificate holds an `IntegerInfeasible` that verifies,
+    over the very system `_ambient_system` builds for its bijection."""
+    checked = 0
+    for poly, x, y in CASES:
+        fx, fy = poly.fibre(x), poly.fibre(y)
+        free = [i for i in range(poly.nfacets) if i not in fx.active]
+        _, h2 = poly.boundary_data()
+        for cert in solve_ambient(poly, x, y, 0).certificates:
+            if cert["kind"] != "linear":
+                continue
+            witness = cert["witness"]
+            assert isinstance(witness, lattice.IntegerInfeasible) and witness.verify()
+            rows, rhs = monodromy._ambient_system(
+                fx.ell, fy.ell, h2, free, dict(cert["perm"]), poly.nfacets)
+            assert (list(witness.M), witness.b) == (rows, tuple(rhs))
+            checked += 1
+    assert checked
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(("cp2", "s2s2_monotone", "c_x_s2")),

@@ -254,13 +254,17 @@ def test_malformed_input_names_a_library_error(make_argv, error, capsys, tmp_pat
     assert json.loads(err)["error"] == error
 
 
-def _value_options():
-    """(subcommand, option) for every option of every subcommand that takes a value."""
+def _subparsers():
     parser = cli.build_parser()
     (commands,) = [a for a in parser._actions if a.dest == "command"]
+    return commands.choices
+
+
+def _value_options():
+    """(subcommand, option) for every option of every subcommand that takes a value."""
     return [
         (name, option)
-        for name, sub in commands.choices.items()
+        for name, sub in _subparsers().items()
         for action in sub._actions if action.nargs != 0
         for option in action.option_strings
     ]
@@ -304,6 +308,55 @@ def test_a_dashed_positional_after_double_dash_reaches_the_file_reader(capsys):
     code, out, err = run(capsys, "check", "--", "-1.json")
     assert code == 2 and not out
     assert json.loads(err)["error"] == "ParseError" and "-1.json" in err
+
+
+_INT_OPTIONS = {"--max-norm", "--max-points", "--max-depth", "--cap", "--bound"}
+
+
+@pytest.mark.parametrize("command, option", _value_options())
+@pytest.mark.parametrize("bad", ["1/0", "x", ""])
+def test_every_value_option_is_read_by_its_parser_type(command, option, bad, capsys):
+    # the malformed value comes first, so its reader runs before any other
+    code, out, err = run(capsys, command, option, bad)
+    assert code == 2 and not out
+    if option in _INT_OPTIONS:
+        assert f"argument {option}: invalid int value" in err and "usage:" in err
+    else:
+        assert json.loads(err)["error"] == "ParseError"
+
+
+def test_every_value_action_names_its_reader():
+    # the polytope positionals too; the option test above tells int from the rest
+    for sub in _subparsers().values():
+        for action in sub._actions:
+            if action.nargs != 0 and action.type is not int:
+                assert action.type.__name__.startswith("parse_")
+                assert getattr(cli, action.type.__name__) is action.type
+
+
+@pytest.mark.parametrize("first, second", [("--from", "--to"), ("--to", "--from")])
+def test_the_first_malformed_value_in_argv_is_reported(first, second, capsys):
+    code, out, err = run(capsys, "ambient", "preset:cp2", first, "1/0,0", second, "x,0")
+    assert code == 2 and not out
+    assert json.loads(err) == {"error": "ParseError", "message": "bad scalar '1/0'"}
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "poly.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "ParseError" and str(path) in err
+
+
+def test_help_runs_no_reader(capsys, monkeypatch):
+    def refuse(text):
+        raise AssertionError(f"a reader ran on {text!r}")
+
+    monkeypatch.setattr(cli, "parse_polytope", refuse)
+    for argv in [["--help"]] + [[name, "--help"] for name in _subparsers()]:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out.startswith("usage: delzant") and not err
 
 
 # the errors that answer a question in the negative; every other error is usage

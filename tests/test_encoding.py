@@ -75,9 +75,12 @@ def ref_solution(s):
 
 
 def ref_certificate(c):
-    # the distances of an invariants certificate, once stored as their text
+    # the distances of an invariants certificate and the witness of a linear
+    # one, once stored as their text
     if c["kind"] == "invariants":
         return {**c, "d": [str(v) for v in c["d"]]}
+    if c["kind"] == "linear":
+        return {**c, "witness": [str(Fraction(x)) for x in c["witness"].u]}
     return c
 
 

@@ -60,6 +60,11 @@ class TestHolonomy:
         with pytest.raises(BaseNotInGraph):
             holonomy_group(graph, (Fraction(1, 7), 0))
 
+    def test_base_not_in_graph_names_the_point(self):
+        graph = _graph("s2s2_monotone", (0, 0))
+        with pytest.raises(BaseNotInGraph, match=r"base point \(1/7, -1\) is not a stored node"):
+            holonomy_group(graph, (Fraction(1, 7), -1))
+
     def test_generators_permute_distinguished(self):
         # every holonomy element permutes the minimal-distance normals
         rng = random.Random(59)
