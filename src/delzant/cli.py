@@ -7,8 +7,10 @@ Verdict kinds map to codes in `_KIND_CODES`; an error's code is the
 answers, whose JSON goes to stdout; 2, on stderr, for all others).
 Scalars on the command line and in files are read by `ExactScalar.of`,
 in the grammar ``INT | INT/INT | RAT+RAT√D | RAT-RAT√D`` of `lattice`;
-windows are comma-separated ``lo..hi`` ranges with ``*`` for unbounded.
-Each value's reader (a `parse_*` function or `int`) is its argparse
+windows are comma-separated ``lo..hi`` ranges with ``*`` for unbounded;
+an integer (each cap, ``--cap``, ``--bound`` and each ``--dir`` entry) is
+a scalar of that grammar that is an integer, read by `parse_int`.
+Each value's reader (a `parse_*` function) is its argparse
 ``type`` in `build_parser`, so every value is read once, as argv is parsed,
 and the handlers take parsed values.  A reader raises `ParseError` or a
 library `DelzantError`, never a bare `TypeError` or `ValueError` (argparse
@@ -90,11 +92,19 @@ def polytope_from_data(data, source="<data>") -> DelzantPolytope:
         raise ParseError(f"{source}: malformed polytope data ({exc})")
 
 
+def parse_int(text: str) -> int:
+    """An integer option or `--dir` entry: a scalar of the grammar that is
+    an integer, with no space around it.  `int` would also read ' 2', '+1',
+    '1_0' and '٢', which are no integers of the grammar."""
+    c = parse_scalar(text)
+    if c.b or c.c != 1 or text != text.strip():
+        raise ParseError(f"bad integer {text!r}")
+    return c.a
+
+
 def parse_direction(text: str):
-    v = parse_point(text)
-    if any(c.b or c.c != 1 for c in v):
-        raise ParseError(f"bad direction {text!r}, expected integers a,b,...")
-    return tuple(c.a for c in v)
+    # a list may space its entries, as a point's may
+    return tuple(parse_int(entry.strip()) for entry in text.split(","))
 
 
 def parse_slice(text: str) -> AffineSlice:
@@ -359,34 +369,36 @@ def build_parser():
 
     p = add("probes", _cmd_probes, help="enumerate symmetric probes through a point")
     p.add_argument("--point", type=parse_point, required=True)
-    p.add_argument("--max-norm", type=int, required=True)
+    p.add_argument("--max-norm", type=parse_int, required=True)
 
     p = add("partner", _cmd_partner, help="partner point along one probe")
     p.add_argument("--point", type=parse_point, required=True)
     p.add_argument("--dir", type=parse_direction, required=True)
 
+    def add_caps(p, max_norm, max_points, max_depth, window=False):
+        """The `OrbitParams` caps and window; a max_norm of None is required."""
+        p.add_argument("--max-norm", type=parse_int, required=max_norm is None,
+                       default=max_norm)
+        p.add_argument("--window", type=parse_window, required=window)
+        p.add_argument("--max-points", type=parse_int, default=max_points)
+        p.add_argument("--max-depth", type=parse_int, default=max_depth)
+
     for name, handler in (("orbit", _cmd_orbit), ("monodromy", _cmd_monodromy)):
         p = add(name, handler, help=f"{name} of a fibre under probe moves")
         p.add_argument("--point", type=parse_point, required=True)
-        p.add_argument("--max-norm", type=int, required=True)
-        p.add_argument("--window", type=parse_window)
-        p.add_argument("--max-points", type=int, default=500)
-        p.add_argument("--max-depth", type=int, default=32)
+        add_caps(p, None, 500, 32)
         if name == "monodromy":
-            p.add_argument("--cap", type=int, default=64)
+            p.add_argument("--cap", type=parse_int, default=64)
 
     p = add("ambient", _cmd_ambient, help="solve the ambient monodromy constraints")
     p.add_argument("--from", dest="source", type=parse_point, required=True)
     p.add_argument("--to", dest="target", type=parse_point, required=True)
-    p.add_argument("--bound", type=int, default=3)
+    p.add_argument("--bound", type=parse_int, default=3)
 
     p = add("equivalent", _cmd_equivalent, help="decide fibre equivalence")
     p.add_argument("--from", dest="source", type=parse_point, required=True)
     p.add_argument("--to", dest="target", type=parse_point, required=True)
-    p.add_argument("--max-norm", type=int, default=3)
-    p.add_argument("--window", type=parse_window)
-    p.add_argument("--max-points", type=int, default=500)
-    p.add_argument("--max-depth", type=int, default=16)
+    add_caps(p, 3, 500, 16)
 
     p = add("reduce", _cmd_reduce, help="toric reduction along a slice")
     p.add_argument("--slice", type=parse_slice, required=True,
@@ -400,12 +412,9 @@ def build_parser():
     p.add_argument("--to", type=parse_point)
 
     p = add("render", _cmd_render, help="SVG of a planar polytope")
-    p.add_argument("--window", type=parse_window, required=True)
+    add_caps(p, 2, 200, 16, window=True)
     p.add_argument("--probes-at", type=parse_point)
     p.add_argument("--orbit-of", type=parse_point, action="append")
-    p.add_argument("--max-norm", type=int, default=2)
-    p.add_argument("--max-points", type=int, default=200)
-    p.add_argument("--max-depth", type=int, default=16)
     p.add_argument("--labels", action="store_true")
 
     add("preset-list", _cmd_preset_list, polytope=False, help="list the preset polytopes")

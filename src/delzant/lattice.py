@@ -48,10 +48,12 @@ _HASH_MODULUS = sys.hash_info.modulus
 
 
 # INT | INT/INT | RAT+RAT√D | RAT-RAT√D, with `sqrt` accepted for `√`; a
-# denominator is a positive integer, so 1/0 is no scalar
+# denominator is a positive integer, so 1/0 is no scalar, and digits are
+# ASCII, so the Arabic-Indic ٢ is none either
 _SCALAR_RE = re.compile(
     r"(?P<rat>-?\d+(?:/0*[1-9]\d*)?)"
-    r"(?:(?P<quad>[+-]\d+(?:/0*[1-9]\d*)?)(?:√|sqrt)(?P<disc>\d+))?"
+    r"(?:(?P<quad>[+-]\d+(?:/0*[1-9]\d*)?)(?:√|sqrt)(?P<disc>\d+))?",
+    re.ASCII,
 )
 
 
@@ -683,8 +685,13 @@ class GammaLattice:
     """The subgroup of R generated by finitely many scalars.
 
     Viewed as a lattice in Q^2 over the basis {1, sqrt(D)} and stored in
-    the canonical form (den, basis): basis is the integer column HNF of
-    den * G and gcd(den, entries) = 1, so equal subgroups compare equal.
+    the canonical form (den, basis, D): den is the least common
+    denominator of the subgroup, that of the coarsest `Grid` of the
+    generators, and basis the integer HNF of their packed pairs, so equal
+    subgroups compare equal.  No common factor is left: a prime p of den
+    divides some generator's denominator to its full power, and that
+    generator, in lowest terms, packs to a pair with an entry prime to p,
+    so gcd(den, entries) = 1.  The zero lattice has den 1 and D 1.
     Generators from two quadratic fields raise `Grid`'s ValueError.
     """
 
@@ -693,20 +700,9 @@ class GammaLattice:
     def __init__(self, generators):
         gens = [ExactScalar.of(g) for g in generators]
         grid = Grid(gens)
-        self.D, den, m = grid.D, grid.c, len(gens)
-        row = grid.pack(gens)
-        basis = hnf_basis(zip(row[:m], row[m:]))
-        g = den
-        for v in basis:
-            for x in v:
-                g = math.gcd(g, abs(x))
-        if basis and g > 1:
-            den //= g
-            basis = [tuple(x // g for x in v) for v in basis]
-        if not basis:
-            den = 1
-        self.den = den
-        self.basis = tuple(basis)
+        row, m = grid.pack(gens), len(gens)
+        self.den, self.D = grid.c, grid.D
+        self.basis = tuple(hnf_basis(zip(row[:m], row[m:])))
 
     @property
     def rank(self) -> int:
@@ -715,11 +711,7 @@ class GammaLattice:
     def __eq__(self, other):
         if not isinstance(other, GammaLattice):
             return NotImplemented
-        return (self.den, self.basis, self.D if self.basis else 1) == (
-            other.den,
-            other.basis,
-            other.D if other.basis else 1,
-        )
+        return (self.den, self.basis, self.D) == (other.den, other.basis, other.D)
 
     def __hash__(self):
         return hash((self.den, self.basis))

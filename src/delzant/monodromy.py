@@ -250,8 +250,10 @@ def _last_roots(coeffs, bound, targets):
     """The x in [-bound, bound], ascending, with sum coeffs[e] x^e in targets.
 
     The degree is that of the highest nonzero coefficient: at degree 0 every
-    x or none hits, at degree 1 each target gives one divmod, at degree 2 its
-    discriminant and `math.isqrt`; above that Horner's rule runs on each x."""
+    x or none hits and at degree 1 each target gives one divmod; above that
+    Horner's rule runs on each x.  Every sweep of the presets and the
+    benchmark pools has degree 0 or 1 here (the total degree 2 of cn(4)
+    comes from mixed monomials t_i t_j), so the scan is the general path."""
     degree = len(coeffs) - 1
     while degree and not coeffs[degree]:
         degree -= 1
@@ -264,26 +266,14 @@ def _last_roots(coeffs, bound, targets):
             x, r = divmod(target - c, b)
             if not r and -bound <= x <= bound:
                 roots.append(x)
-    elif degree == 2:
-        c, b, a = coeffs[0], coeffs[1], coeffs[2]
-        for target in targets:
-            disc = b * b - 4 * a * (c - target)
-            if disc >= 0:
-                r = math.isqrt(disc)
-                if r * r == disc:
-                    for num in (-b - r, -b + r):
-                        x, rem = divmod(num, 2 * a)
-                        if not rem and -bound <= x <= bound:
-                            roots.append(x)
-    else:
-        for x in range(-bound, bound + 1):
-            total = 0
-            for c in reversed(coeffs):
-                total = total * x + c
-            if total in targets:
-                roots.append(x)
-        return roots
-    return sorted(set(roots)) if len(roots) > 1 else roots
+        return sorted(set(roots)) if len(roots) > 1 else roots
+    for x in range(-bound, bound + 1):
+        total = 0
+        for c in reversed(coeffs):
+            total = total * x + c
+        if total in targets:
+            roots.append(x)
+    return roots
 
 
 def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
@@ -300,16 +290,18 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
     of kernel parameters t and keeps the points where det(induced) = +-1.
     A box of more than 200 000 points is not swept: only its centre t = 0
     is tested.  `_poly_hits` walks the first k - 1 parameters and solves
-    for the last one exactly, as a root of the determinant polynomial in it.
+    for the last one exactly, as a root of the determinant polynomial in it
+    (of degree 0 or 1 in every sweep of the presets: see `_last_roots`).
     The induced map on H_1 is (Xi A)[:, J] adj(S) divided exactly by det S
     for an invertible block S = Xi[:, J] of the normal matrix Xi.  The
     products Xi A_k are formed once per bijection.  The hits come in
     lexicographic order, so each one keeps the partial sum of the prefix it
     shares with the hit before and adds the precomputed matrices of the
     later parameters only; it then divides by det S (a remainder means the
-    map is not integral and drops the hit; at det S = +-1 there is none)
-    and checks the columns outside J.  The bound must be an int (a float or
-    a bool raises TypeError); a negative bound raises ValueError.
+    map is not integral and drops the hit; at det S = 1 there is no
+    division) and checks the columns outside J.  The bound must be an int
+    (a float or a bool raises TypeError); a negative bound raises
+    ValueError.
     """
     bound = lattice.integer(bound)
     if bound < 0:
@@ -521,17 +513,16 @@ class _AffineFamily:
             yield self._split(sums[-1])
 
     def _split(self, v):
-        """A and the induced map from the flat vector v of a point.  When
-        det S is +-1 the exact division is the identity or a negation; else
-        a remainder drops the map.  An exact quotient M has M Xi = Xi A on
+        """A and the induced map from the flat vector v of a point: P
+        divided exactly by det S (no division at det S = 1, which every
+        evaluated point of the presets and the benchmark pools has), the
+        map dropped on a remainder.  An exact quotient M has M Xi = Xi A on
         the columns J, so only the other columns are checked."""
         N, n, m = self.shape
         A = _rows(v, 0, N, N)
         det = self.det
         P = v[N * N:N * N + n * n]
-        if det == -1:
-            P = [-e for e in P]
-        elif det != 1:
+        if det != 1:
             quotients = []
             for e in P:
                 q, rem = divmod(e, det)

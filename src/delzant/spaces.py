@@ -20,7 +20,7 @@ from .errors import NotInterior, OracleUnavailable, UnknownPreset
 from .lattice import ExactScalar, ZERO
 from .polytope import DelzantPolytope, as_point, in_window
 
-_CN = re.compile(r"cn\((\d+)\)$")
+_CN = re.compile(r"cn\((\d+)\)$", re.ASCII)
 
 PRESET_NAMES = ("cn(n)", "cp2", "s2s2_monotone", "c_x_s2", "c2_x_ts1", "ts1_x_s2")
 

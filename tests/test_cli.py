@@ -32,8 +32,10 @@ def run(capsys, *argv):
 
 
 # texts that no scalar constructor reads: decimals, exponents, digit
-# separators, zero denominators, a bare root and a root of a non-square-free D
-BAD_TEXTS = ["0.5", "1e-3", "1_000", "1/0", "1+1/0√2", "√2", "1+1√4", ""]
+# separators, zero denominators, a bare root, a root of a non-square-free D,
+# a leading plus and digits that are not ASCII
+BAD_TEXTS = ["0.5", "1e-3", "1_000", "1/0", "1+1/0√2", "√2", "1+1√4", "",
+             "+1", "٢", "1+1√٢"]
 
 
 @st.composite
@@ -314,22 +316,63 @@ _INT_OPTIONS = {"--max-norm", "--max-points", "--max-depth", "--cap", "--bound"}
 
 
 @pytest.mark.parametrize("command, option", _value_options())
-@pytest.mark.parametrize("bad", ["1/0", "x", ""])
+@pytest.mark.parametrize("bad", ["1/0", "x", "", "1_0", "+1", "٢"])
 def test_every_value_option_is_read_by_its_parser_type(command, option, bad, capsys):
-    # the malformed value comes first, so its reader runs before any other
+    # the malformed value comes first, so its reader runs before any other;
+    # an integer's reader, `parse_int`, raises ParseError like the rest
     code, out, err = run(capsys, command, option, bad)
     assert code == 2 and not out
-    if option in _INT_OPTIONS:
-        assert f"argument {option}: invalid int value" in err and "usage:" in err
-    else:
-        assert json.loads(err)["error"] == "ParseError"
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("command, option",
+                         [c for c in _value_options() if c[1] in _INT_OPTIONS])
+def test_an_integer_is_one_token(command, option, capsys):
+    # int() read ' 2' as 2; the other texts int() read are malformed for every
+    # value option (see above)
+    code, out, err = run(capsys, command, option, " 2")
+    assert code == 2 and not out
+    assert json.loads(err) == {"error": "ParseError", "message": "bad integer ' 2'"}
+
+
+def test_integers_are_integer_scalars_of_the_grammar():
+    for text, value in (("3", 3), ("-2", -2), ("007", 7), ("4/2", 2), ("1+0√2", 1)):
+        assert cli.parse_int(text) == value
+    for bad in ("1/2", "1+1√2", "2 ", "x"):
+        with pytest.raises(ParseError):
+            cli.parse_int(bad)
+    # a direction may space its entries, as a point may
+    assert cli.parse_direction("1, -1") == cli.parse_direction("2/2,-1") == (1, -1)
+
+
+def test_a_preset_with_digits_that_are_not_ascii_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "invariants", "preset:cn(٣)", "--point", "1,1,1")
+    assert code == 2 and not out
+    assert issubclass(getattr(errors, json.loads(err)["error"]), ParseError)
+
+
+@pytest.mark.parametrize("command, required, caps", [
+    ("orbit", ["--max-norm", "1", "--point", "0,0"], (1, None, 500, 32)),
+    ("monodromy", ["--max-norm", "1", "--point", "0,0"], (1, None, 500, 32)),
+    ("equivalent", ["--from", "0,0", "--to", "0,0"], (3, None, 500, 16)),
+    ("render", ["--window", "0..1,0..1"], (2, "window", 200, 16)),
+])
+def test_search_caps_keep_each_commands_defaults(command, required, caps):
+    parser = cli.build_parser()
+    args = parser.parse_args([command, "preset:cp2", *required])
+    window = "window" if args.window is not None else None
+    assert (args.max_norm, window, args.max_points, args.max_depth) == caps
+    # every required option is required: dropping one is a usage error
+    for i in range(0, len(required), 2):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "preset:cp2", *required[:i], *required[i + 2:]])
 
 
 def test_every_value_action_names_its_reader():
-    # the polytope positionals too; the option test above tells int from the rest
+    # the polytope positionals too, and every integer is read by parse_int
     for sub in _subparsers().values():
         for action in sub._actions:
-            if action.nargs != 0 and action.type is not int:
+            if action.nargs != 0:
                 assert action.type.__name__.startswith("parse_")
                 assert getattr(cli, action.type.__name__) is action.type
 
@@ -597,6 +640,25 @@ class TestDispatch:
         code, out, _ = run(capsys, "chekanov", "--tuple", "1,2,3", "--to", "1,3,5")
         assert code == 1
 
+    def test_chekanov_without_target(self, capsys):
+        code, out, _ = run(capsys, "chekanov", "--tuple", "1,2,3")
+        assert code == 0
+        assert json.loads(out) == {
+            "reduced": {"d": "1", "entries": ["1", "2"], "mult": 1},
+            "gamma": {"D": 1, "basis": [[1, 0]], "den": 1},
+        }
+
+    def test_chekanov_word_search_cap_exits_3(self, capsys):
+        # the u^8 pair, u = √2 - 1: equivalent, but beyond the word search's cap
+        code, out, _ = run(
+            capsys, "chekanov", "--tuple", "1,2,1+1√2",
+            "--to", "1,578-408√2,-1392+985√2",
+        )
+        assert code == 3
+        data = json.loads(out)
+        assert data["equivalent"] is True and data["word"] is None
+        assert data["note"] == "no word found within 20000 explored tuples"
+
     def test_chekanov_quadratic_field(self, capsys):
         code, out, _ = run(
             capsys, "chekanov", "--tuple", "1,1+1√2,3", "--to", "1,3,1+1√2",
@@ -656,6 +718,37 @@ class TestRender:
         )
         assert code == 0
         assert out.count("<line") == 4
+
+    def test_labels(self, capsys):
+        code, out, _ = run(
+            capsys, "render", "preset:c_x_s2", "--window", "-3/2..6,-3/2..3/2",
+            "--orbit-of", "0,1/2", "--max-norm", "2", "--labels",
+        )
+        assert code == 0
+        doc = xml.dom.minidom.parseString(out)
+        labels = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+        assert len(labels) == out.count("<circle") > 0
+        assert "0,1/2" in labels
+
+    def test_unbounded_window_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "render", "preset:cp2", "--window", "0..*,0..1")
+        assert code == 2 and not out
+        assert json.loads(err) == {
+            "error": "ParseError",
+            "message": "render needs a bounded 2-coordinate window",
+        }
+
+    def test_facets_that_miss_the_window_are_not_drawn(self, capsys):
+        # c_x_s2's facets are x1 = -1, x2 = -1 and x2 = 1; only x2 = -1 crosses it
+        poly, window = preset("c_x_s2"), parse_window("0..2,-2..1/2")
+        assert [cli._facet_segment(poly, i, window) is None for i in range(3)] == [
+            True, False, True
+        ]
+        code, out, _ = run(capsys, "render", "preset:c_x_s2", "--window", "0..2,-2..1/2")
+        assert code == 0 and out.count("<line") == 1
+        # a slanted facet, cp2's x1 + x2 = 1, that misses it: its range is empty
+        window = parse_window("-1/2..0,-1/2..0")
+        assert cli._facet_segment(preset("cp2"), 2, window) is None
 
     def test_not_planar(self, capsys):
         code, _, err = run(

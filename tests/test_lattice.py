@@ -366,6 +366,59 @@ class TestGammaLattice:
         assert GammaLattice([scalar(0, 1, 2), 1, scalar(1, 1, 2)]).D == 2
 
 
+@st.composite
+def gamma_generators(draw):
+    """Up to four scalars of one field Q(sqrt(D)), D in {1, 2, 3, 5}, zeros
+    and rationals among them."""
+    D = draw(st.sampled_from([1, 2, 3, 5]))
+    part = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    pairs = st.tuples(part, st.one_of(st.just(0), part))
+    return [scalar(a, b, D) for a, b in draw(st.lists(pairs, max_size=4))]
+
+
+@st.composite
+def unimodular(draw, m):
+    """An m x m integer matrix of determinant +-1, as a product of signs,
+    swaps and shears."""
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(draw(st.integers(0, 6)) if m > 1 else 0):
+        i, j = draw(st.permutations(range(m)))[:2]
+        op, k = draw(st.sampled_from(["swap", "neg", "add"])), draw(st.integers(-3, 3))
+        if op == "swap":
+            U[i], U[j] = U[j], U[i]
+        elif op == "neg":
+            U[i] = [-x for x in U[i]]
+        else:
+            U[i] = [x + k * y for x, y in zip(U[i], U[j])]
+    return U
+
+
+class TestGammaCanonicalForm:
+    @settings(max_examples=300, deadline=None)
+    @given(gamma_generators())
+    def test_no_common_factor_is_left(self, gens):
+        g = GammaLattice(gens)
+        if not any(gens):
+            assert (g.den, g.basis, g.D) == (1, (), 1)
+        assert math.gcd(g.den, *(x for v in g.basis for x in v)) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_recombined_generators_give_an_equal_lattice(self, data):
+        gens = data.draw(gamma_generators())
+        U = data.draw(unimodular(len(gens)))
+        mixed = [sum((k * s for k, s in zip(row, gens)), scalar(0)) for row in U]
+        a, b = GammaLattice(gens), GammaLattice(mixed + [0])
+        assert (a.den, a.basis, a.D) == (b.den, b.basis, b.D)
+        assert a == b and hash(a) == hash(b)
+
+    def test_zero_lattices_are_equal_whatever_their_field(self):
+        zeros = [GammaLattice([]), GammaLattice([0]), GammaLattice([scalar(0, 0, 2)]),
+                 GammaLattice([scalar(1, 1, 2) - scalar(1, 1, 2)])]
+        assert all(z == zeros[0] and hash(z) == hash(zeros[0]) for z in zeros)
+        assert GammaLattice([scalar(0, 1, 2)]) != zeros[0]
+
+
 class TestFourierMotzkin:
     def test_square(self):
         cons = [((1, 0), 1, True), ((0, 1), 1, True), ((-1, 0), 1, True),

@@ -33,6 +33,8 @@ class TestPresets:
             preset("banana")
         with pytest.raises(UnknownPreset):
             preset("cn(0)")
+        with pytest.raises(UnknownPreset):
+            preset("cn(٣)")  # digits are ASCII
 
 
 class TestOrbitOracles:
