@@ -94,17 +94,16 @@ def polytope_from_data(data, source="<data>") -> DelzantPolytope:
 
 def parse_int(text: str) -> int:
     """An integer option or `--dir` entry: a scalar of the grammar that is
-    an integer, with no space around it.  `int` would also read ' 2', '+1',
-    '1_0' and '٢', which are no integers of the grammar."""
+    an integer.  `int` would also read '+1', '1_0' and '٢', which are no
+    scalars of the grammar."""
     c = parse_scalar(text)
-    if c.b or c.c != 1 or text != text.strip():
+    if c.b or c.c != 1:
         raise ParseError(f"bad integer {text!r}")
     return c.a
 
 
 def parse_direction(text: str):
-    # a list may space its entries, as a point's may
-    return tuple(parse_int(entry.strip()) for entry in text.split(","))
+    return tuple(map(parse_int, text.split(",")))
 
 
 def parse_slice(text: str) -> AffineSlice:

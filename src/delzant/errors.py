@@ -150,16 +150,16 @@ class SelfCheckFailed(DelzantError):
 
 # -- presets / cli ---------------------------------------------------------
 
-class ParseError(DelzantError):
+class UnknownPreset(DelzantError):
     pass
-
-
-class UnknownPreset(ParseError):
-    """A preset name that no preset has, such as cn(٣): a malformed value."""
 
 
 class OracleUnavailable(DelzantError):
     """The requested closed-form oracle is not encodable (e.g. dense orbits)."""
+
+
+class ParseError(DelzantError):
+    pass
 
 
 class NotPlanar(DelzantError):

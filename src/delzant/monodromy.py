@@ -251,9 +251,10 @@ def _last_roots(coeffs, bound, targets):
 
     The degree is that of the highest nonzero coefficient: at degree 0 every
     x or none hits and at degree 1 each target gives one divmod; above that
-    Horner's rule runs on each x.  Every sweep of the presets and the
-    benchmark pools has degree 0 or 1 here (the total degree 2 of cn(4)
-    comes from mixed monomials t_i t_j), so the scan is the general path."""
+    Horner's rule runs on each x.  Every sweep of the benchmark pools
+    (measured at b8355d5) has degree 0 or 1 here (the total degree 2 of
+    cn(4) comes from mixed monomials t_i t_j), so the scan is the general
+    path."""
     degree = len(coeffs) - 1
     while degree and not coeffs[degree]:
         degree -= 1
@@ -291,7 +292,8 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
     A box of more than 200 000 points is not swept: only its centre t = 0
     is tested.  `_poly_hits` walks the first k - 1 parameters and solves
     for the last one exactly, as a root of the determinant polynomial in it
-    (of degree 0 or 1 in every sweep of the presets: see `_last_roots`).
+    (of degree 0 or 1 in every sweep of the benchmark pools, measured at
+    b8355d5: see `_last_roots`).
     The induced map on H_1 is (Xi A)[:, J] adj(S) divided exactly by det S
     for an invertible block S = Xi[:, J] of the normal matrix Xi.  The
     products Xi A_k are formed once per bijection.  The hits come in
@@ -515,8 +517,8 @@ class _AffineFamily:
     def _split(self, v):
         """A and the induced map from the flat vector v of a point: P
         divided exactly by det S (no division at det S = 1, which every
-        evaluated point of the presets and the benchmark pools has), the
-        map dropped on a remainder.  An exact quotient M has M Xi = Xi A on
+        evaluated point of the benchmark pools had, measured at b8355d5),
+        the map dropped on a remainder.  An exact quotient M has M Xi = Xi A on
         the columns J, so only the other columns are checked."""
         N, n, m = self.shape
         A = _rows(v, 0, N, N)

@@ -312,9 +312,6 @@ def test_a_dashed_positional_after_double_dash_reaches_the_file_reader(capsys):
     assert json.loads(err)["error"] == "ParseError" and "-1.json" in err
 
 
-_INT_OPTIONS = {"--max-norm", "--max-points", "--max-depth", "--cap", "--bound"}
-
-
 @pytest.mark.parametrize("command, option", _value_options())
 @pytest.mark.parametrize("bad", ["1/0", "x", "", "1_0", "+1", "٢"])
 def test_every_value_option_is_read_by_its_parser_type(command, option, bad, capsys):
@@ -325,20 +322,11 @@ def test_every_value_option_is_read_by_its_parser_type(command, option, bad, cap
     assert json.loads(err)["error"] == "ParseError"
 
 
-@pytest.mark.parametrize("command, option",
-                         [c for c in _value_options() if c[1] in _INT_OPTIONS])
-def test_an_integer_is_one_token(command, option, capsys):
-    # int() read ' 2' as 2; the other texts int() read are malformed for every
-    # value option (see above)
-    code, out, err = run(capsys, command, option, " 2")
-    assert code == 2 and not out
-    assert json.loads(err) == {"error": "ParseError", "message": "bad integer ' 2'"}
-
-
 def test_integers_are_integer_scalars_of_the_grammar():
-    for text, value in (("3", 3), ("-2", -2), ("007", 7), ("4/2", 2), ("1+0√2", 1)):
+    for text, value in (("3", 3), ("-2", -2), ("007", 7), ("4/2", 2), ("1+0√2", 1),
+                        (" 2", 2)):
         assert cli.parse_int(text) == value
-    for bad in ("1/2", "1+1√2", "2 ", "x"):
+    for bad in ("1/2", "1+1√2", "x"):
         with pytest.raises(ParseError):
             cli.parse_int(bad)
     # a direction may space its entries, as a point may
@@ -348,7 +336,7 @@ def test_integers_are_integer_scalars_of_the_grammar():
 def test_a_preset_with_digits_that_are_not_ascii_is_a_parse_error(capsys):
     code, out, err = run(capsys, "invariants", "preset:cn(٣)", "--point", "1,1,1")
     assert code == 2 and not out
-    assert issubclass(getattr(errors, json.loads(err)["error"]), ParseError)
+    assert json.loads(err)["error"] == "UnknownPreset"
 
 
 @pytest.mark.parametrize("command, required, caps", [

@@ -1,6 +1,7 @@
 """`tools/traffic.py`: the line trace finds the statements a run misses."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 from delzant import monodromy
@@ -15,9 +16,15 @@ def _traffic():
     return module
 
 
+def _line_of(function, statement):
+    """The file line number of the first line of function whose stripped
+    text is statement."""
+    source, first = inspect.getsourcelines(function)
+    return first + [line.strip() for line in source].index(statement)
+
+
 def test_a_degree_one_call_leaves_the_horner_scan_unreached():
     traffic = _traffic()
-    source = Path(monodromy.__file__).read_text().splitlines()
     with traffic.LineTrace() as trace:
         assert monodromy._last_roots([0, 2], 3, (2, -2)) == [-1, 1]
     groups = {
@@ -26,11 +33,11 @@ def test_a_degree_one_call_leaves_the_horner_scan_unreached():
         for first, _, texts in found
         for line, text in enumerate(texts, first)
     }
-    horner = source.index("            total = total * x + c") + 1
-    divmod_line = source.index("            x, r = divmod(target - c, b)") + 1
+    horner = _line_of(monodromy._last_roots, "total = total * x + c")
+    divmod_line = _line_of(monodromy._last_roots, "x, r = divmod(target - c, b)")
     assert groups[horner].strip() == "total = total * x + c"
     assert divmod_line not in groups
     # a function body is listed, its def line and docstring are not
     lines, heads = traffic.statements(Path(monodromy.__file__))
-    head = source.index("def _last_roots(coeffs, bound, targets):") + 1
+    head = inspect.getsourcelines(monodromy._last_roots)[1]
     assert head in heads and head not in lines and head + 1 not in lines

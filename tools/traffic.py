@@ -1,8 +1,8 @@
 """Which statements of `src/delzant` a run never reaches: a stdlib line trace.
 
-    python tools/traffic.py                 # tier-1 and the benchmark pools
-    python tools/traffic.py pools           # one pass of every perfbench pool
-    python tools/traffic.py tier1 -- -k cli # tier-1, extra pytest arguments after --
+    python tools/traffic.py         # tier-1 and the benchmark pools
+    python tools/traffic.py pools   # one pass of every perfbench pool
+    python tools/traffic.py tier1   # the tier-1 test suite
 
 Run from the root of a checkout.  `tier1` runs the test suite in this
 process; `pools` builds the tune and holdout pools of every workload in
@@ -74,12 +74,12 @@ class LineTrace:
         threading.settrace(self._outer[1])
 
 
-def run_tier1(trace, pytest_args):
+def run_tier1(trace):
     import pytest
 
     with trace:
         code = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-                            str(ROOT / "tests"), *pytest_args])
+                            str(ROOT / "tests")])
     print(f"# tier-1 exit status {code}", file=sys.stderr)
 
 
@@ -125,9 +125,6 @@ def unreached(trace):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    pytest_args = argv[argv.index("--") + 1:] if "--" in argv else []
-    argv = argv[:argv.index("--")] if "--" in argv else argv
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("runs", nargs="*", metavar="{tier1,pools}",
                         help="the runs to trace (default: both)")
@@ -139,7 +136,7 @@ def main(argv=None):
     if "pools" in runs:
         run_pools(trace)
     if "tier1" in runs:
-        run_tier1(trace, pytest_args)
+        run_tier1(trace)
     total = 0
     for path, count, groups in unreached(trace):
         total += count
