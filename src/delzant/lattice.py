@@ -48,11 +48,12 @@ _HASH_MODULUS = sys.hash_info.modulus
 
 
 # INT | INT/INT | RAT+RAT√D | RAT-RAT√D, with `sqrt` accepted for `√`; a
-# denominator is a positive integer, so 1/0 is no scalar, and digits are
-# ASCII, so the Arabic-Indic ٢ is none either
+# denominator is a positive integer, so 1/0 is no scalar, and digits and
+# the whitespace around a scalar are ASCII, so the Arabic-Indic ٢ is none
+# and an ideographic space is no padding
 _SCALAR_RE = re.compile(
-    r"(?P<rat>-?\d+(?:/0*[1-9]\d*)?)"
-    r"(?:(?P<quad>[+-]\d+(?:/0*[1-9]\d*)?)(?:√|sqrt)(?P<disc>\d+))?",
+    r"\s*(?P<rat>-?\d+(?:/0*[1-9]\d*)?)"
+    r"(?:(?P<quad>[+-]\d+(?:/0*[1-9]\d*)?)(?:√|sqrt)(?P<disc>\d+))?\s*",
     re.ASCII,
 )
 
@@ -66,7 +67,7 @@ def _ratio(value):
     if kind is int:
         return value, 1
     if isinstance(value, str):
-        m = _SCALAR_RE.fullmatch(value.strip())
+        m = _SCALAR_RE.fullmatch(value)
         if m is None or m["quad"]:
             raise ValueError(f"bad rational {value!r}")
         num, _, den = m["rat"].partition("/")
@@ -158,7 +159,7 @@ class ExactScalar:
         if kind is int:
             return _make(value, 0, 1, 1)
         if isinstance(value, str):
-            m = _SCALAR_RE.fullmatch(value.strip())
+            m = _SCALAR_RE.fullmatch(value)
             if m is None:
                 raise ValueError(f"bad scalar {value!r}")
             rat, quad, disc = m.group("rat", "quad", "disc")

@@ -10,9 +10,10 @@ orbits can re-enter the window from outside.
 A move adds (l_exit - l_entry) * v to a point and (l_exit - l_entry) * p to
 its distances, so the whole orbit lies on one `lattice.Grid`: the common
 denominator c and field D of the root, its distances and the window.  The
-search runs on packed rows of ints over that grid.  `explore` builds
-scalars, probes and moves once each, for the graph it returns; `decide`
-builds them only along the path it answers with.
+search runs on packed rows of ints over that grid.  One builder, `_mover`,
+makes each recorded move a `ProbeMove` once: every move of the graph that
+`explore` returns, and for `decide` only the moves of its path.  Moves are
+slotted records, immutable by convention, that compare and hash by value.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class OrbitParams:
         return in_window(x, self.window)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ProbeMove(Record):
     probe: probe_mod.SymmetricProbe
     source: tuple
@@ -181,29 +182,32 @@ def _search(poly, x, params, target=None):
     return _Search(grid, solver, records, nodes, edges, truncated, None)
 
 
-def _probe_move(poly, grid, solver, records, move, source, target) -> ProbeMove:
-    """The ProbeMove of a recorded move (u, v, hit) from source to target."""
-    u, _, hit = move
-    x, ell = records[u][:2]
-    return ProbeMove(probe_mod.build_probe(poly.facets, grid, x, ell, hit),
-                     source, target, solver.involution(hit))
-
-
-def _graph(poly, search):
-    """The OrbitGraph of a search on point ids: each reached point becomes
-    scalars once, and each recorded move a ProbeMove once."""
-    grid, solver, records = search.grid, search.solver, search.records
-    points = [grid.unpack(rec[0]) for rec in records]
+def _mover(poly, search, points):
+    """The builder of ProbeMoves from the recorded moves (u, v, hit) of a
+    search, from points[u] to points[v]; each move is built once."""
+    facets, grid, records = poly.facets, search.grid, search.records
+    involution = search.solver.involution
     moves = {}
 
     def build(move):
         built = moves.get(move)
         if built is None:
-            built = moves[move] = _probe_move(
-                poly, grid, solver, records, move, points[move[0]], points[move[1]]
-            )
+            u, v, hit = move
+            x, ell = records[u][:2]
+            built = moves[move] = ProbeMove(
+                probe_mod.build_probe(facets, grid, x, ell, hit),
+                points[u], points[v], involution(hit))
         return built
 
+    return build
+
+
+def _graph(poly, search):
+    """The OrbitGraph of a search on point ids: each reached point becomes
+    scalars once, and each recorded move a ProbeMove once."""
+    records = search.records
+    points = [search.grid.unpack(rec[0]) for rec in records]
+    build = _mover(poly, search, points)
     parents = {}
     for rec in records[1:]:
         move = rec[5]
@@ -239,16 +243,14 @@ def replay_path(x, path) -> tuple:
 
 def _path(poly, search, v) -> list:
     """The recorded moves root -> record v, built for this path only."""
-    grid, solver, records = search.grid, search.solver, search.records
-    path = []
-    target = grid.unpack(records[v][0])
+    records = search.records
+    chain = [v]
     while v:
-        move = records[v][5]
-        source = grid.unpack(records[move[0]][0])
-        path.append(_probe_move(poly, grid, solver, records, move, source, target))
-        v, target = move[0], source
-    path.reverse()
-    return path
+        v = records[v][5][0]
+        chain.append(v)
+    points = {i: search.grid.unpack(records[i][0]) for i in chain}
+    build = _mover(poly, search, points)
+    return [build(records[i][5]) for i in reversed(chain[:-1])]
 
 
 def _reversed(path) -> tuple:

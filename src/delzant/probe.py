@@ -8,14 +8,15 @@ involution I + (xi' - xi) v^T is well defined.
 Probes are found on ints: `_end` compares the times l_i / |p_i| at which a
 ray meets its facets on l(x) packed on one `lattice.Grid`.  Only hits with
 |p_i| = 1 are probes, so a probe's times are distances l_i and its partner
-stays on the grid; scalars are built only for the `SymmetricProbe` returned.
+stays on the grid; `build_probe`, the one place that turns a hit into a
+probe, builds scalars only for the `SymmetricProbe` returned: a slotted
+record, immutable by convention, that compares and hashes by value.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import mul, sub
 
 from . import lattice
 from .errors import (
@@ -29,7 +30,7 @@ from .lattice import ExactScalar, Grid, Record, _sign
 from .polytope import DelzantPolytope, as_point, point_str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SymmetricProbe(Record):
     direction: tuple        # primitive v, points from entry facet to exit facet
     entry_facet: int
@@ -174,17 +175,11 @@ def build_probe(facets, grid, x, ell, hit) -> SymmetricProbe:
     d, entry, exit_ = hit
     n, N = len(x) // 2, len(ell) // 2
     ta, tb = ell[entry], ell[N + entry]
-    start = map(sub, x, map(mul, d.vv, (ta,) * n + (tb,) * n))
-    (length,) = grid.unpack((ta + ell[exit_], tb + ell[N + exit_]))
-    return SymmetricProbe(
-        direction=d.v,
-        entry_facet=entry,
-        exit_facet=exit_,
-        entry_point=grid.unpack(tuple(start)),
-        length=length,
-        entry_normal=facets[entry].normal,
-        exit_normal=facets[exit_].normal,
-    )
+    # the entry point x - l_entry * v, one grid lookup per coordinate
+    start = tuple([grid[x[k] - ta * c, x[n + k] - tb * c] for k, c in enumerate(d.v)])
+    return SymmetricProbe(d.v, entry, exit_, start,
+                          grid[ta + ell[exit_], tb + ell[N + exit_]],
+                          facets[entry].normal, facets[exit_].normal)
 
 
 def _packed(poly, x):

@@ -20,14 +20,14 @@ from .errors import NotInterior, OracleUnavailable, UnknownPreset
 from .lattice import ExactScalar, ZERO
 from .polytope import DelzantPolytope, as_point, in_window
 
-_CN = re.compile(r"cn\((\d+)\)$", re.ASCII)
+_CN = re.compile(r"cn\((\d+)\)", re.ASCII)
 
 PRESET_NAMES = ("cn(n)", "cp2", "s2s2_monotone", "c_x_s2", "c2_x_ts1", "ts1_x_s2")
 
 
 def preset(name: str) -> DelzantPolytope:
     """A preset polytope by identifier (facet order fixed per space)."""
-    m = _CN.match(name)
+    m = _CN.fullmatch(name)
     if m:
         n = int(m.group(1))
         if n < 1:
@@ -144,7 +144,7 @@ def oracle_orbit(name: str, x, window=None):
             pts.add((x1 + k * step, -abs(x2)))
             k += 1
         return _clip_sort(pts, window)
-    m = _CN.match(name)
+    m = _CN.fullmatch(name)
     if m:
         return _clip_sort(_cn_orbit(x, window), window)
     raise UnknownPreset(name)
@@ -324,7 +324,7 @@ def oracle_monodromy(name: str, x) -> OracleMonodromy:
                 note="blocks {id, swap} with opposite integer shears",
             )
         return _trivial(3)
-    m = _CN.match(name)
+    m = _CN.fullmatch(name)
     if m:
         return _cn_monodromy(x)
     raise UnknownPreset(name)

@@ -33,9 +33,10 @@ def run(capsys, *argv):
 
 # texts that no scalar constructor reads: decimals, exponents, digit
 # separators, zero denominators, a bare root, a root of a non-square-free D,
-# a leading plus and digits that are not ASCII
+# a leading plus, digits that are not ASCII and padding that is not ASCII
+# whitespace (an ideographic and a no-break space)
 BAD_TEXTS = ["0.5", "1e-3", "1_000", "1/0", "1+1/0√2", "√2", "1+1√4", "",
-             "+1", "٢", "1+1√٢"]
+             "+1", "٢", "1+1√٢", "  2\u3000", "\u30002", "\u00a01/2"]
 
 
 @st.composite
@@ -64,6 +65,12 @@ class TestScalarGrammar:
             with pytest.raises(ParseError):
                 parse_scalar(zero_den)
         assert parse_scalar("3/010") == scalar(Fraction(3, 10))
+
+    def test_ascii_whitespace_pads_a_scalar(self):
+        assert parse_scalar(" \t1+1/2√2\n") == scalar(1, Fraction(1, 2), 2)
+        assert ExactScalar(" -7/2\r", "\f1/3\v", 2) == scalar(Fraction(-7, 2),
+                                                             Fraction(1, 3), 2)
+        assert parse_point(" 1, 2") == (scalar(1), scalar(2))
 
     @settings(max_examples=200, deadline=None)
     @given(scalars())
@@ -335,6 +342,12 @@ def test_integers_are_integer_scalars_of_the_grammar():
 
 def test_a_preset_with_digits_that_are_not_ascii_is_a_parse_error(capsys):
     code, out, err = run(capsys, "invariants", "preset:cn(٣)", "--point", "1,1,1")
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "UnknownPreset"
+
+
+def test_a_preset_name_with_a_trailing_newline_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "invariants", "preset:cn(3)\n", "--point", "1,1,1")
     assert code == 2 and not out
     assert json.loads(err)["error"] == "UnknownPreset"
 

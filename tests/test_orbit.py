@@ -18,6 +18,7 @@ from delzant import (
     lattice,
     monodromy,
     preset,
+    probe,
     scalar,
 )
 from delzant.errors import (
@@ -27,7 +28,7 @@ from delzant.errors import (
     NotTransverse,
     UnboundedRay,
 )
-from delzant.orbit import ProbeMove, _graph, _search, replay_path
+from delzant.orbit import ProbeMove, _graph, _path, _search, replay_path
 from delzant.polytope import point_str
 from delzant.probe import (
     SymmetricProbe,
@@ -392,14 +393,24 @@ DECIDE_PARAMS = {
 
 
 def assert_matches_reference(poly, x, params):
+    """explore() against reference_explore, record by record: `==` and
+    `hash` also see the facet normals that JSON leaves out.  decide's
+    `_path` and `graph.path_to` build their moves through one builder, and
+    must agree on every point reached."""
     graph = explore(poly, x, params)
     nodes, edges, parents, truncated = reference_explore(poly, x, params)
     assert graph.nodes == nodes
-    assert [e.to_json() for e in graph.edges] == [e.to_json() for e in edges]
-    assert [(p, parent, m.to_json()) for p, (parent, m) in graph.parents.items()] == [
-        (p, parent, m.to_json()) for p, (parent, m) in parents.items()
+    assert graph.edges == edges
+    assert [(p, parent, m) for p, (parent, m) in graph.parents.items()] == [
+        (p, parent, m) for p, (parent, m) in parents.items()
     ]
+    moves = graph.edges + [m for _, m in graph.parents.values()]
+    reference_moves = edges + [m for _, m in parents.values()]
+    assert list(map(hash, moves)) == list(map(hash, reference_moves))
     assert graph.truncated == truncated
+    search = _search(poly, x, params)
+    for v, rec in enumerate(search.records):
+        assert _path(poly, search, v) == graph.path_to(search.grid.unpack(rec[0]))
 
 
 class TestAgainstReference:
@@ -420,6 +431,29 @@ class TestAgainstReference:
         # the density example of the paper, at the benchmark's caps
         params = OrbitParams(max_norm=1, max_points=150, window=((0, 6),) * 3)
         assert_matches_reference(preset("cn(3)"), (1, 2, scalar(1, 1, 2)), params)
+
+    def test_each_move_built_once(self, monkeypatch):
+        """explore builds one probe per distinct move of its graph, and
+        decide one per move of the path it returns: none twice, none
+        deferred."""
+        calls = []
+        build_probe = probe.build_probe
+
+        def counted(*args):
+            calls.append(args)
+            return build_probe(*args)
+
+        monkeypatch.setattr(probe, "build_probe", counted)
+        poly, x = preset("cn(3)"), (1, 2, scalar(1, 1, 2))
+        params = OrbitParams(max_norm=1, max_points=150, window=((0, 6),) * 3)
+        graph = explore(poly, x, params)
+        moves = set(graph.edges) | {m for _, m in graph.parents.values()}
+        assert len(calls) == len(moves) == 596
+        for y in graph.nodes[1::25] + [p for p in graph.parents if p not in graph.nodes][:3]:
+            calls.clear()
+            verdict = decide(poly, x, y, params)
+            assert verdict.kind == "equivalent"
+            assert len(calls) == len(verdict.path) > 0
 
     def test_shoot_errors(self):
         cases = [

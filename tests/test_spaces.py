@@ -35,6 +35,13 @@ class TestPresets:
             preset("cn(0)")
         with pytest.raises(UnknownPreset):
             preset("cn(٣)")  # digits are ASCII
+        # the whole name matches: `$` would also match before a final newline
+        with pytest.raises(UnknownPreset):
+            preset("cn(3)\n")
+        with pytest.raises(UnknownPreset):
+            oracle_orbit("cn(3)\n", (1, 2, 3))
+        with pytest.raises(UnknownPreset):
+            oracle_monodromy("cn(3)\n", (1, 2, 3))
 
 
 class TestOrbitOracles:
