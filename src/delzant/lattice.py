@@ -49,11 +49,11 @@ _HASH_MODULUS = sys.hash_info.modulus
 
 # INT | INT/INT | RAT+RAT√D | RAT-RAT√D, with `sqrt` accepted for `√`; a
 # denominator is a positive integer, so 1/0 is no scalar, and digits and
-# the whitespace around a scalar are ASCII, so the Arabic-Indic ٢ is none
-# and an ideographic space is no padding
+# the padding around a scalar are ASCII (the characters \s and \x1c-\x1f
+# that `str.isspace` takes), so ٢ is none and an ideographic space no pad
 _SCALAR_RE = re.compile(
-    r"\s*(?P<rat>-?\d+(?:/0*[1-9]\d*)?)"
-    r"(?:(?P<quad>[+-]\d+(?:/0*[1-9]\d*)?)(?:√|sqrt)(?P<disc>\d+))?\s*",
+    r"[\s\x1c-\x1f]*(?P<rat>-?\d+(?:/0*[1-9]\d*)?)"
+    r"(?:(?P<quad>[+-]\d+(?:/0*[1-9]\d*)?)(?:√|sqrt)(?P<disc>\d+))?[\s\x1c-\x1f]*",
     re.ASCII,
 )
 

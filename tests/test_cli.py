@@ -71,6 +71,9 @@ class TestScalarGrammar:
         assert ExactScalar(" -7/2\r", "\f1/3\v", 2) == scalar(Fraction(-7, 2),
                                                              Fraction(1, 3), 2)
         assert parse_point(" 1, 2") == (scalar(1), scalar(2))
+        # the ASCII separators that str.isspace takes pad a scalar too
+        assert ExactScalar.of("\x1f2\x1c") == parse_scalar("\x1d2\x1e") == scalar(2)
+        assert parse_point("\x1c1,2") == (scalar(1), scalar(2))
 
     @settings(max_examples=200, deadline=None)
     @given(scalars())

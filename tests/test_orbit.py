@@ -393,13 +393,18 @@ DECIDE_PARAMS = {
 
 
 def assert_matches_reference(poly, x, params):
-    """explore() against reference_explore, record by record: `==` and
-    `hash` also see the facet normals that JSON leaves out.  decide's
-    `_path` and `graph.path_to` build their moves through one builder, and
-    must agree on every point reached."""
+    """explore() against reference_explore, record by record: JSON sees
+    the type of each value, and `==` and `hash` also see the facet normals
+    that JSON leaves out.  decide's `_path` and `graph.path_to` build their
+    moves through one builder, and must agree on every point reached."""
     graph = explore(poly, x, params)
     nodes, edges, parents, truncated = reference_explore(poly, x, params)
     assert graph.nodes == nodes
+    # JSON tells an ExactScalar from the int or Fraction it equals
+    assert [e.to_json() for e in graph.edges] == [e.to_json() for e in edges]
+    assert [(p, parent, m.to_json()) for p, (parent, m) in graph.parents.items()] == [
+        (p, parent, m.to_json()) for p, (parent, m) in parents.items()
+    ]
     assert graph.edges == edges
     assert [(p, parent, m) for p, (parent, m) in graph.parents.items()] == [
         (p, parent, m) for p, (parent, m) in parents.items()
