@@ -461,9 +461,12 @@ def adjugate(M):
     step is a minor of the row-permuted augmented matrix, so each division
     by the previous pivot is exact, and at the end the left block is
     +-det I and the right block +-adj M.  A singular M has no full pivot
-    sequence and gives (0, None).
+    sequence and gives (0, None); a row of length other than n raises
+    DimensionMismatch.
     """
     n = len(M)
+    if any(len(row) != n for row in M):
+        raise DimensionMismatch(f"not a square matrix: {n} rows of lengths {[len(r) for r in M]}")
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
     sign = 1
     prev = 1

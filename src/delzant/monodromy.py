@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -40,7 +41,14 @@ def _check_cap(cap):
 
 
 def mulclose(generators, cap: int) -> MatrixGroup:
-    """Close a set of +-1-determinant integer matrices under products."""
+    """Close a set of +-1-determinant n x n integer matrices under products.
+
+    Elements are held flat, row by row, as tuples of n^2 ints.  A new
+    element c = a b records its generator a and factor b, so a truncated
+    closure forms each inverse as b^-1 a^-1 and `lattice.adjugate` runs once
+    per distinct generator.  Generators of mixed or non-square shapes raise
+    DimensionMismatch.
+    """
     _check_cap(cap)
     gens = []
     for g in generators:
@@ -48,22 +56,26 @@ def mulclose(generators, cap: int) -> MatrixGroup:
         if g not in gens:
             gens.append(g)
     n = len(gens[0]) if gens else 0
-    ident = lattice.identity(n) if n else ()
-    seed = set(gens) | {ident} | {lattice.unimodular_inverse(g) for g in gens}
-    elements = set(seed)
-    frontier = list(seed)
+    if any(len(g) != n or any(len(row) != n for row in g) for g in gens):
+        raise DimensionMismatch(f"generators are not all {n}x{n}")
+    inverses = [lattice.unimodular_inverse(g) for g in gens]
+    ident = lattice.identity(n)
+    # element -> (generator index, factor) that found it; the seed, in set order, -> None
+    elements = dict.fromkeys(map(_flat, set(gens) | {ident} | set(inverses)))
+    frontier = list(elements)
     truncated = False
     while frontier and not truncated:
         new = []
-        for a in gens:
-            for b in frontier:
-                c = lattice.mat_mul(a, b)
+        columns = [[b[j::n] for j in range(n)] for b in frontier]
+        for i, a in enumerate(gens):
+            for b, cols in zip(frontier, columns):
+                c = _product(a, cols)
                 if c not in elements:
                     # a new element with cap elements held: the group is larger
                     if len(elements) >= cap:
                         truncated = True
                         break
-                    elements.add(c)
+                    elements[c] = i, b
                     new.append(c)
             if truncated:
                 break
@@ -71,13 +83,24 @@ def mulclose(generators, cap: int) -> MatrixGroup:
     # Untruncated, the set is finite and closed under left multiplication by
     # each generator, an injective map of it into itself and so a bijection:
     # the set is the group generated, already closed under inverses.  A
-    # truncated list is made inverse-closed here.
+    # truncated set is made inverse-closed here, each b^-1 formed before the
+    # (a b)^-1 = b^-1 a^-1 that uses it, as b was found before a b.
+    out = set(elements)
     if truncated:
-        for g in list(elements):
-            elements.add(lattice.unimodular_inverse(g))
-    return MatrixGroup(
-        tuple(sorted(gens)), tuple(sorted(elements)), truncated, cap
-    )
+        seed = gens + inverses + [ident]
+        inverse = dict(zip(map(_flat, seed), map(_flat, inverses + gens + [ident])))
+        for c, record in elements.items():
+            if record:
+                i, b = record
+                inverse[c] = _product(_rows(inverse[b], 0, n, n), lattice.transpose(inverses[i]))
+        out.update(inverse.values())
+    elements = tuple(sorted(_rows(c, 0, n, n) for c in out))
+    return MatrixGroup(tuple(sorted(gens)), elements, truncated, cap)
+
+
+def _product(rows, columns):
+    """The matrix product of these rows with these columns, flat."""
+    return tuple([sum(map(operator.mul, row, col)) for row in rows for col in columns])
 
 
 def holonomy_group(graph, base, cap: int = 256) -> MatrixGroup:
@@ -198,27 +221,33 @@ def _poly_hits(p, k, bound, targets):
     """The points t of [-bound, bound]^k with p(t) in targets, in lexicographic
     order.
 
-    The prefixes t_0..t_{k-2} are walked lazily in lexicographic order by
-    `itertools.product`, and p is specialised along them level by level:
-    level i holds the coefficients of the monomials left once t_0..t_{i-1}
-    are fixed, and it is kept until one of those parameters moves, so a step
-    of the walk recomputes only the levels after the parameter that moved.
-    The last level is the coefficient list of t_{k-1}, whose hits
-    `_last_roots` finds exactly instead of scanning its 2 bound + 1 values."""
+    When p has degree at most 1 in each of s = t_{k-2} and t = t_{k-1} and
+    no monomial with both, only the prefixes t_0..t_{k-3} are walked, and at
+    each one p is c + a s + b t, whose hits `_pair_roots` finds with one gcd;
+    otherwise the prefixes t_0..t_{k-2} are walked, and p is a polynomial in
+    t_{k-1}, whose hits `_last_roots` finds exactly instead of scanning its
+    2 bound + 1 values.  The prefixes are walked lazily in lexicographic
+    order by `itertools.product`, and p is specialised along them level by
+    level: level i holds the coefficients of the monomials left once
+    t_0..t_{i-1} are fixed, and it is kept until one of those parameters
+    moves, so a step of the walk recomputes only the levels after the
+    parameter that moved."""
     if k == 0:
         return [()] if p.get((), 0) in targets else []
-    last = k - 1
+    pair = k >= 2 and all(sum(v >= k - 2 for v in m) <= 1 for m in p)
+    walked = k - 2 if pair else k - 1
     # monomials[i]: what is left of p's monomials once t_0..t_{i-1} are fixed
-    # (their entries lead each sorted tuple); the last level lists every
-    # power of t_{k-1}, so its coefficients form a dense list
+    # (their entries lead each sorted tuple); the last level lists 1, s, t,
+    # or every power of t_{k-1}, so its coefficients form a dense list
     monomials = [list(p)]
-    for i in range(last):
+    for i in range(walked):
         monomials.append(list(dict.fromkeys(m[m.count(i):] for m in monomials[i])))
-    monomials[last] = [(last,) * e for e in range(max((m.count(last) for m in p), default=0) + 1)]
+    monomials[walked] = [(), (k - 2,), (k - 1,)] if pair else [
+        (walked,) * e for e in range(max((m.count(walked) for m in p), default=0) + 1)]
     # plans[i]: for each power e of t_i on level i, the (slot on level i,
     # slot on level i + 1) of the monomials t_i^e m
     plans = []
-    for i in range(last):
+    for i in range(walked):
         slot = {m: s for s, m in enumerate(monomials[i + 1])}
         groups = {}
         for a, m in enumerate(monomials[i]):
@@ -226,14 +255,15 @@ def _poly_hits(p, k, bound, targets):
             groups.setdefault(e, []).append((a, slot[m[e:]]))
         plans.append(list(groups.items()))
     sizes = [len(level) for level in monomials]
-    coeffs = [[p.get(m, 0) for m in monomials[0]]] + [None] * last
+    coeffs = [[p.get(m, 0) for m in monomials[0]]] + [None] * walked
+    solve = _pair_roots if pair else lambda *args: [(x,) for x in _last_roots(*args)]
     hits = []
-    for prefix in itertools.product(range(-bound, bound + 1), repeat=last):
+    for prefix in itertools.product(range(-bound, bound + 1), repeat=walked):
         # the walk moved t_i and reset every later parameter to -bound
-        i = max(last - 1, 0)
+        i = max(walked - 1, 0)
         while i > 0 and prefix[i] == -bound:
             i -= 1
-        for i in range(i, last):
+        for i in range(i, walked):
             v, level = prefix[i], coeffs[i]
             out = [0] * sizes[i + 1]
             for e, pairs in plans[i]:
@@ -241,9 +271,35 @@ def _poly_hits(p, k, bound, targets):
                 for a, s in pairs:
                     out[s] += level[a] * w
             coeffs[i + 1] = out
-        for x in _last_roots(coeffs[last], bound, targets):
-            hits.append(prefix + (x,))
+        hits += [prefix + x for x in solve(coeffs[walked], bound, targets)]
     return hits
+
+
+def _pair_roots(coeffs, bound, targets):
+    """The (s, t) in [-bound, bound]^2, in lexicographic order, with
+    c + a s + b t in targets for coeffs = [c, a, b].
+
+    With g = gcd(a, b) = p a + q b > 0, a target T is hit only if g divides
+    T - c, and then exactly at the s of one residue class mod |b| / g, from
+    s_0 = p (T - c) / g, each with one t = (T - c - a s) / b, kept when it
+    lies in the box.  At b = 0 the roles of s and t are swapped, and at
+    a = b = 0 every point hits or none does."""
+    c, a, b = coeffs
+    values = range(-bound, bound + 1)
+    swap = not b
+    if swap:
+        a, b = b, a
+        if not b:
+            return list(itertools.product(values, values)) if c in targets else []
+    g, p, _ = lattice._exgcd(a, b)
+    step = abs(b) // g
+    hits = []
+    for r in [target - c for target in targets if not (target - c) % g]:
+        for s in range((p * (r // g) + bound) % step - bound, bound + 1, step):
+            t = (r - a * s) // b
+            if -bound <= t <= bound:
+                hits.append((t, s) if swap else (s, t))
+    return sorted(set(hits))
 
 
 def _last_roots(coeffs, bound, targets):
@@ -251,10 +307,9 @@ def _last_roots(coeffs, bound, targets):
 
     The degree is that of the highest nonzero coefficient: at degree 0 every
     x or none hits and at degree 1 each target gives one divmod; above that
-    Horner's rule runs on each x.  Every sweep of the benchmark pools
-    (measured at b8355d5) has degree 0 or 1 here (the total degree 2 of
-    cn(4) comes from mixed monomials t_i t_j), so the scan is the general
-    path."""
+    Horner's rule runs on each x.  In the benchmark pools only the sweeps
+    with k <= 1 come here, every one of degree 0 or 1 (the sweeps with
+    k >= 2 all take `_pair_roots`), so the scan is the general path."""
     degree = len(coeffs) - 1
     while degree and not coeffs[degree]:
         degree -= 1
@@ -290,10 +345,11 @@ def solve_ambient(poly: DelzantPolytope, x, y, bound: int) -> AmbientOutcome:
     A_k of z0 + sum t_k kernel_k; the sweep covers the box [-bound, bound]^k
     of kernel parameters t and keeps the points where det(induced) = +-1.
     A box of more than 200 000 points is not swept: only its centre t = 0
-    is tested.  `_poly_hits` walks the first k - 1 parameters and solves
-    for the last one exactly, as a root of the determinant polynomial in it
-    (of degree 0 or 1 in every sweep of the benchmark pools, measured at
-    b8355d5: see `_last_roots`).
+    is tested.  `_poly_hits` walks the first k - 2 parameters and solves
+    for the last two with one gcd when the determinant polynomial is affine
+    in each of them with no product of the two (every sweep with k >= 2 of
+    the benchmark pools), and otherwise walks the first k - 1 and solves for
+    the last one as a root of the polynomial in it.
     The induced map on H_1 is (Xi A)[:, J] adj(S) divided exactly by det S
     for an invertible block S = Xi[:, J] of the normal matrix Xi.  The
     products Xi A_k are formed once per bijection.  The hits come in
@@ -540,7 +596,7 @@ class _AffineFamily:
 
 
 def _flat(M):
-    return [e for row in M for e in row]
+    return tuple(itertools.chain.from_iterable(M))
 
 
 def _rows(v, start, nrows, ncols):

@@ -12,6 +12,7 @@ outputs with either set.  `integer_induced_matrix`, the per-matrix integer
 induced map that `_AffineFamily` replaced, is kept as a second reference.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -175,6 +176,19 @@ def product_hits(p, k, bound, targets):
         t for t in itertools.product(range(-bound, bound + 1), repeat=k)
         if poly_eval(p, t) in targets
     ]
+
+
+def last_parameter_hits(p, k, bound, targets):
+    """The sweep without the pair path: every prefix of k - 1 parameters,
+    the polynomial in the last one solved by `monodromy._last_roots`."""
+    hits = []
+    for prefix in itertools.product(range(-bound, bound + 1), repeat=k - 1):
+        coeffs = [0] * (max((m.count(k - 1) for m in p), default=0) + 1)
+        for mono, c in p.items():
+            e = mono.count(k - 1)
+            coeffs[e] += poly_eval({mono[:len(mono) - e]: c}, prefix)
+        hits += [prefix + (x,) for x in monodromy._last_roots(coeffs, bound, targets)]
+    return hits
 
 
 def scale_to_int(coeff_rows, rhs_fracs):
@@ -696,6 +710,94 @@ def test_poly_hits_matches_brute_force(case):
     hits = monodromy._poly_hits(p, k, bound, targets)
     assert hits == product_hits(p, k, bound, targets)
     assert point is None or point in hits
+
+
+def _prefix_poly(draw, k, scale):
+    """0, a constant in [-scale, scale], or a multiple of t_i - r for a
+    prefix parameter t_i, which vanishes at the prefixes with t_i = r."""
+    c = draw(st.integers(-scale, scale))
+    if k > 2 and c and draw(st.booleans()):
+        i, r = draw(st.integers(0, k - 3)), draw(st.integers(-2, 2))
+        return {(i,): c, (): -c * r} if r else {(i,): c}
+    return {(): c} if c else {}
+
+
+@st.composite
+def pair_polys(draw):
+    """Polynomials c + a t_{k-2} + b t_{k-1}, with no t_{k-2} t_{k-1} term,
+    for the pair path of `_poly_hits`: c is sparse in the earlier
+    parameters, and a and b are 0, constants up to 20 (so that |b| / gcd(a, b)
+    can exceed 2 bound + 1) or vanish at some prefixes.  The first target
+    is the value at a drawn point, which comes with the case; the second the
+    value at another drawn point, or a small integer."""
+    k, bound = draw(st.integers(2, 4)), draw(st.integers(0, 3))
+    p = {}
+    if k > 2:
+        monos = st.lists(st.integers(0, k - 3), max_size=3).map(lambda m: tuple(sorted(m)))
+        for mono, c in draw(st.lists(st.tuples(monos, st.integers(-4, 4)), max_size=4)):
+            p = monodromy._poly_add(p, {mono: c} if c else {})
+    else:
+        p = {(): draw(st.integers(-4, 4))}
+    for var in (k - 2, k - 1):
+        p = monodromy._poly_add(p, monodromy._poly_mul(_prefix_poly(draw, k, 20), {(var,): 1}))
+    box = st.lists(st.integers(-bound, bound), min_size=k, max_size=k).map(tuple)
+    point = draw(box)
+    second = poly_eval(p, draw(box)) if draw(st.booleans()) else draw(st.integers(-3, 3))
+    return p, k, bound, (poly_eval(p, point), second), point
+
+
+def test_pair_path_matches_brute_force_and_the_last_parameter_walk():
+    """`_poly_hits` on the pair path gives the hits of the brute-force
+    product and of the walk that solves only the last parameter, and the
+    draws reach each case of `_pair_roots`."""
+    seen = set()
+    pair_roots = monodromy._pair_roots
+
+    def recorded(coeffs, bound, targets):
+        c, a, b = coeffs
+        hits = pair_roots(coeffs, bound, targets)
+        if a and b:
+            seen.add("a b" if abs(b) // math.gcd(a, b) <= 2 * bound + 1 else "a b, wide step")
+        else:
+            seen.add("a" if a else "b" if b else "constant")
+        if len({c + a * s + b * t for s, t in hits}) == 2:
+            seen.add("both targets")
+        return hits
+
+    @settings(max_examples=600, deadline=None)
+    @given(pair_polys())
+    def check(case):
+        p, k, bound, targets, point = case
+        hits = monodromy._poly_hits(p, k, bound, targets)
+        assert hits == product_hits(p, k, bound, targets)
+        assert hits == last_parameter_hits(p, k, bound, targets)
+        assert point in hits
+
+    monodromy._pair_roots = recorded
+    try:
+        check()
+    finally:
+        monodromy._pair_roots = pair_roots
+    assert seen == {"a b", "a b, wide step", "a", "b", "constant", "both targets"}
+
+
+def test_cn4_sweep_solves_the_last_two_parameters(monkeypatch):
+    """The largest benchmark query walks 7^4 prefixes of its 6 kernel
+    parameters on the pair path, solves no polynomial in one parameter, and
+    keeps the outcome of the walk over 7^5 prefixes that solves only the
+    last parameter."""
+    poly, x, y = preset("cn(4)"), (1, 2, 3, 4), (2, 1, 3, 4)
+    calls = collections.Counter()
+    for name in ("_pair_roots", "_last_roots"):
+        def counted(*args, name=name, solve=getattr(monodromy, name)):
+            calls[name] += 1
+            return solve(*args)
+        monkeypatch.setattr(monodromy, name, counted)
+    got = solve_ambient(poly, x, y, 3)
+    assert calls == {"_pair_roots": 2401}
+    assert len(got.solutions) == 3514
+    monkeypatch.setattr(monodromy, "_poly_hits", last_parameter_hits)
+    assert got.to_json() == solve_ambient(poly, x, y, 3).to_json()
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])

@@ -452,6 +452,21 @@ def test_unimodular_inverse():
         assert mat_mul(M, unimodular_inverse(M)) == lattice.identity(n)
 
 
+# a non-square or ragged matrix once read as a square one: mat_det of the
+# first two gave 1 and -1, unimodular_inverse of the first ((0,1,0),(0,0,1))
+@pytest.mark.parametrize("M", [
+    ((1, 0, 0), (0, 1, 0)),
+    ((2, 1), (1,)),
+    ((1, 0), (0, 1), (0, 0)),
+    ((1,), (0, 1)),
+    ((1, 0), ()),
+], ids=["2x3", "ragged", "3x2", "ragged-long", "empty-row"])
+def test_non_square_matrices_rejected(M):
+    for call in (lattice.adjugate, mat_det, unimodular_inverse):
+        with pytest.raises(DimensionMismatch):
+            call(M)
+
+
 def test_hnf_canonical_for_equal_lattices():
     rng = random.Random(41)
     for _ in range(40):

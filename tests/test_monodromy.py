@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from delzant import OrbitGraph, OrbitParams, as_point, explore, preset
-from delzant.errors import BaseNotInGraph, NotReductionType
+from delzant import lattice
+from delzant.errors import BaseNotInGraph, DimensionMismatch, NotReductionType
 from delzant.lattice import (
     ExactScalar, identity, mat_det, mat_mul, mat_vec, unimodular_inverse,
 )
@@ -171,6 +172,61 @@ class TestMulclose:
                 assert (group.elements, group.truncated) == _mulclose_reference(gens, cap)
                 complete += not group.truncated
         assert complete >= 10  # the untruncated path, which skips the inverse pass
+
+    def test_matches_reference_on_non_involutions(self, monkeypatch):
+        """Shears, products of probe involutions and signed permutations,
+        most of them not their own inverses, tell (a b)^-1 = b^-1 a^-1 from
+        a^-1 b^-1 in the truncated inverse pass; the closure inverts each
+        distinct generator once and no other element."""
+        rng = random.Random(89)
+        adjugates = []
+        adjugate = lattice.adjugate
+        monkeypatch.setattr(lattice, "adjugate", lambda M: adjugates.append(M) or adjugate(M))
+        kinds = set()
+        # the rotation of order 6 alone (a group of order 6) and with the one
+        # of order 4 (together they generate SL(2, Z))
+        cases = [[((0, -1), (1, 0)), ((0, -1), (1, 1))], [((0, -1), (1, 1))]]
+        for i in range(60):
+            n = 2 + i % 3
+            gens = []
+            cases.append(gens)
+            for _ in range(rng.randint(1, 3)):
+                kind = rng.choice(("shear", "involutions", "signed permutation"))
+                if kind == "shear":
+                    r, c = rng.sample(range(n), 2)
+                    shear = [[int(a == b) for b in range(n)] for a in range(n)]
+                    shear[r][c] = rng.choice((-2, -1, 1, 2))
+                    gens.append(shear)
+                elif kind == "involutions":
+                    a, b = _probe_involution(rng, n), _probe_involution(rng, n)
+                    gens.append(mat_mul(a, b))
+                else:
+                    # of finite order, mostly above 2
+                    perm = rng.sample(range(n), n)
+                    gens.append([[rng.choice((-1, 1)) * int(perm[a] == b) for b in range(n)]
+                                 for a in range(n)])
+        for gens in cases:
+            n = len(gens[0])
+            distinct = {tuple(map(tuple, g)) for g in gens}
+            involutions = all(mat_mul(g, g) == identity(n) for g in distinct)
+            for cap in (8, 24, 400):
+                adjugates.clear()
+                group = mulclose(gens, cap)
+                assert len(adjugates) <= len(distinct)
+                assert (group.elements, group.truncated) == _mulclose_reference(gens, cap)
+                if not involutions:
+                    kinds.add((n, group.truncated))
+        assert kinds == {(n, t) for n in (2, 3, 4) for t in (False, True)}
+
+    @pytest.mark.parametrize("gens", [
+        [((0, 1), (1, 0)), ((0, 1, 0), (1, 0, 0), (0, 0, 1))],
+        [((1, 0, 0), (0, 1, 0))],
+        [((1, 1), (0,))],
+        [((1, 0), (0, 1)), ((1, 1), (0,))],
+    ], ids=["2x2-with-3x3", "2x3", "ragged", "square-with-ragged"])
+    def test_mixed_shapes_rejected(self, gens):
+        with pytest.raises(DimensionMismatch):
+            mulclose(gens, 16)
 
     def test_float_cap_rejected(self):
         # a float cap once ran and showed up in MatrixGroup.to_json

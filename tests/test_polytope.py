@@ -439,6 +439,12 @@ class TestApplyAffine:
             (f.normal, f.offset) for f in poly.facets
         )
 
+    @pytest.mark.parametrize("M", [((1, 1), (0,)), ((1, 0, 0), (0, 1, 0)), ((1,), (0, 1))])
+    def test_non_square_matrix_rejected(self, M):
+        # ((1, 1), (0,)) once reported NotUnimodular: determinant 0
+        with pytest.raises(DimensionMismatch):
+            preset("cp2").apply_affine(M)
+
     def test_shear_orthant(self):
         # x -> Mx with column vectors: normals transform by the inverse transpose
         poly = preset("cn(2)")
